@@ -5,14 +5,16 @@
 // The platform can send users a $2, $5 or $10 coupon (or nothing). Bigger
 // coupons cost more and convert better, but with diminishing ROI. The
 // K-treatment problem is decomposed into K binary {control, arm k}
-// problems, each solved by its own rDRP; the allocator then ranks
-// (user, arm) pairs by calibrated ROI under one shared budget.
+// problems, each solved by its own rDRP; the K-arm campaign allocator then
+// ranks (user, arm) pairs by calibrated ROI under one shared budget.
 //
 // Build & run:  ./build/examples/tiered_coupons
 
 #include <cstdio>
+#include <limits>
 #include <vector>
 
+#include "campaign/karm_allocate.h"
 #include "core/multi_treatment.h"
 #include "synth/multi_treatment.h"
 #include "common/math_util.h"
@@ -66,8 +68,11 @@ int main() {
   double all_in_cheapest = 0.0;
   for (double c : costs[0]) all_in_cheapest += c;
   double budget = 0.3 * all_in_cheapest;
+  campaign::KArmBudgets budgets;
+  budgets.global = budget;
+  budgets.per_arm.assign(3, std::numeric_limits<double>::infinity());
 
-  auto realize = [&](const core::MultiAllocationResult& alloc,
+  auto realize = [&](const campaign::KArmAllocationResult& alloc,
                      const char* label) {
     double revenue = 0.0;
     std::vector<int> arm_counts(roicl::AsSize(model.num_arms() + 1), 0);
@@ -87,8 +92,8 @@ int main() {
 
   std::printf("\nBudgeted allocation over %d users x 3 coupon tiers:\n",
               campaign.n());
-  core::MultiAllocationResult smart =
-      core::GreedyAllocateMulti(scores, costs, budget);
+  campaign::KArmAllocationResult smart =
+      campaign::KArmGreedyReference(scores, costs, budgets);
   double smart_revenue = realize(smart, "rDRP (D&C)");
 
   Rng noise(22);
@@ -97,8 +102,8 @@ int main() {
   for (auto& arm_scores : random_scores) {
     for (double& s : arm_scores) s = noise.Uniform();
   }
-  core::MultiAllocationResult random_alloc =
-      core::GreedyAllocateMulti(random_scores, costs, budget);
+  campaign::KArmAllocationResult random_alloc =
+      campaign::KArmGreedyReference(random_scores, costs, budgets);
   double random_revenue = realize(random_alloc, "Random");
 
   std::printf("\nLift over random tier assignment: %+.1f%%\n",

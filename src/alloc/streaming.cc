@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -22,14 +23,34 @@ namespace {
 /// max(kMinCompactRows, |kept|) — amortized O(log f) per row.
 constexpr size_t kMinCompactRows = 64;
 
-Status ValidateRow(int64_t index, double roi, double cost) {
-  if (!std::isfinite(roi)) {
-    return Status::InvalidArgument("non-finite roi score at row " +
-                                   std::to_string(index));
+/// Rejects a chunk whose shape disagrees with the source's arm count, or
+/// that carries a non-finite ROI score or a negative or non-finite cost.
+/// Pairs are checked user by user, arm by arm, so the first bad pair
+/// reported is deterministic at any shard count or thread interleaving.
+Status ValidateChunk(const RowChunk& chunk, int num_arms) {
+  const size_t size = AsSize64(chunk.size());
+  bool shaped = chunk.num_arms() == num_arms &&
+                chunk.cost.size() == chunk.roi.size();
+  for (size_t a = 0; shaped && a < chunk.roi.size(); ++a) {
+    shaped = chunk.roi[a].size() == size && chunk.cost[a].size() == size;
   }
-  if (!(cost >= 0.0) || !std::isfinite(cost)) {
-    return Status::InvalidArgument("negative or non-finite cost at row " +
-                                   std::to_string(index));
+  if (!shaped) {
+    return Status::InvalidArgument(
+        "source yielded a chunk whose arms do not match its arm count or "
+        "each other's length");
+  }
+  for (size_t i = 0; i < size; ++i) {
+    for (size_t a = 0; a < chunk.roi.size(); ++a) {
+      const double roi = chunk.roi[a][i];
+      const double cost = chunk.cost[a][i];
+      if (std::isfinite(roi) && cost >= 0.0 && std::isfinite(cost)) continue;
+      return Status::InvalidArgument(
+          std::string(std::isfinite(roi) ? "negative or non-finite cost"
+                                         : "non-finite roi score") +
+          " at row " +
+          std::to_string(chunk.base_user + static_cast<int64_t>(i)) +
+          " arm " + std::to_string(a + 1));
+    }
   }
   return Status::Ok();
 }
@@ -38,24 +59,36 @@ Status CapExceeded(const MemoryAccountant& accountant) {
   return Status::FailedPrecondition(
       "streaming allocation exceeded its memory cap (" +
       std::to_string(accountant.cap()) +
-      " bytes); raise the cap or lower the budget/shard count");
+      " bytes); raise the cap or lower the budget, shard count or chunk "
+      "size");
 }
 
-/// Appends to `result->selected`, growing the vector through the
-/// accountant so the selection buffer counts against the cap too.
+/// Appends to `selected`, growing the vector through the accountant so
+/// the selection buffer counts against the cap too.
 bool PushSelected(int64_t index, MemoryAccountant* accountant,
-                  StreamingResult* result) {
-  std::vector<int64_t>& selected = result->selected;
-  if (selected.size() == selected.capacity()) {
-    size_t grow = std::max<size_t>(1024, selected.capacity() * 2);
-    if (!accountant->TryCharge((grow - selected.capacity()) *
+                  std::vector<int64_t>* selected) {
+  if (selected->size() == selected->capacity()) {
+    size_t grow = std::max<size_t>(1024, selected->capacity() * 2);
+    if (!accountant->TryCharge((grow - selected->capacity()) *
                                sizeof(int64_t))) {
       return false;
     }
-    selected.reserve(grow);
+    selected->reserve(grow);
   }
-  selected.push_back(index);
+  selected->push_back(index);
   return true;
+}
+
+/// The per-user reduction of the collapse lemma: the user's best pair is
+/// their highest-roi arm, ties to the smaller arm — exactly the first of
+/// the user's pairs under (roi desc, arm asc, user asc).
+size_t BestArmSlot(const RowChunk& chunk, size_t i) {
+  size_t best = 0;
+  for (size_t a = 1; a < chunk.roi.size(); ++a) {
+    // Strict > keeps the smaller arm on ties.
+    if (chunk.roi[a][i] > chunk.roi[best][i]) best = a;
+  }
+  return best;
 }
 
 }  // namespace
@@ -174,103 +207,6 @@ bool ShardFrontier::Compact() {
 
 namespace {
 
-StatusOr<StreamingResult> GreedyStream(RowSource* source, double budget,
-                                       const StreamingOptions& options,
-                                       MemoryAccountant* accountant) {
-  obs::ScopedSpan span("alloc.greedy");
-  const int num_shards = options.num_shards;
-  std::vector<std::unique_ptr<ShardFrontier>> shards;
-  shards.reserve(AsSize(num_shards));
-  for (int s = 0; s < num_shards; ++s) {
-    shards.push_back(std::make_unique<ShardFrontier>(budget, accountant));
-  }
-
-  StreamingResult result;
-  source->Reset();
-  RowChunk chunk;
-  bool over_cap = false;
-  {
-    obs::ScopedSpan stream_span("alloc.greedy.stream");
-    while (!over_cap && source->Next(&chunk)) {
-      const int64_t size = chunk.size();
-      result.rows_streamed += size;
-      // Validate the chunk serially first: the first bad row reported is
-      // then deterministic at any shard count or thread interleaving.
-      for (int64_t i = 0; i < size; ++i) {
-        Status row_status =
-            ValidateRow(chunk.base_index + i, chunk.roi[AsSize64(i)],
-                        chunk.cost[AsSize64(i)]);
-        if (!row_status.ok()) return row_status;
-      }
-      if (options.parallel_shards && num_shards > 1) {
-        // Shards are disjoint (row -> index % num_shards), so each task
-        // touches only its own frontier; the accountant is atomic. Every
-        // shard sees its rows in index order regardless of interleaving,
-        // making the outcome bitwise-identical to the serial path.
-        std::atomic<bool> chunk_over_cap{false};
-        GlobalThreadPool().ParallelFor(0, num_shards, [&](int s) {
-          ShardFrontier* frontier = shards[AsSize(s)].get();
-          for (int64_t i = 0; i < size; ++i) {
-            int64_t index = chunk.base_index + i;
-            if (index % num_shards != s) continue;
-            if (!frontier->Add(index, chunk.roi[AsSize64(i)],
-                               chunk.cost[AsSize64(i)])) {
-              chunk_over_cap.store(true, std::memory_order_relaxed);
-              return;
-            }
-          }
-        });
-        over_cap = chunk_over_cap.load(std::memory_order_relaxed);
-      } else {
-        for (int64_t i = 0; i < size && !over_cap; ++i) {
-          int64_t index = chunk.base_index + i;
-          int s = static_cast<int>(index % num_shards);
-          over_cap = !shards[AsSize(s)]->Add(index, chunk.roi[AsSize64(i)],
-                                             chunk.cost[AsSize64(i)]);
-        }
-      }
-    }
-  }
-  if (over_cap) return CapExceeded(*accountant);
-
-  obs::ScopedSpan merge_span("alloc.merge");
-  size_t total = 0;
-  for (std::unique_ptr<ShardFrontier>& shard : shards) {
-    if (!shard->Compact()) return CapExceeded(*accountant);
-    total += shard->items().size();
-    result.frontier_evictions += shard->evictions();
-  }
-  if (!accountant->TryCharge(total * sizeof(FrontierItem))) {
-    return CapExceeded(*accountant);
-  }
-  std::vector<FrontierItem> merged;
-  merged.reserve(total);
-  for (std::unique_ptr<ShardFrontier>& shard : shards) {
-    merged.insert(merged.end(), shard->items().begin(),
-                  shard->items().end());
-  }
-  std::sort(merged.begin(), merged.end(), RankBefore);
-  result.merge_candidates = static_cast<int64_t>(total);
-
-  // Exact reconciliation: replay Algorithm 1's stop-at-first-overflow
-  // scan over the merged candidates. The merged list contains the full
-  // reference selection plus its stop row in identical rank order, so
-  // the scan selects the same rows and accumulates the same FP spend as
-  // core::GreedyAllocate over the whole population.
-  for (const FrontierItem& item : merged) {
-    if (result.spent + item.cost <= budget) {
-      if (!PushSelected(item.index, accountant, &result)) {
-        return CapExceeded(*accountant);
-      }
-      result.spent += item.cost;
-      result.value += item.roi * item.cost;
-    } else {
-      break;  // the paper's variant: stop once the budget is reached
-    }
-  }
-  return result;
-}
-
 StatusOr<StreamingResult> DualStream(RowSource* source, double budget,
                                      const StreamingOptions& options,
                                      MemoryAccountant* accountant) {
@@ -286,14 +222,14 @@ StatusOr<StreamingResult> DualStream(RowSource* source, double budget,
     source->Reset();
     RowChunk chunk;
     while (source->Next(&chunk)) {
+      Status chunk_status = ValidateChunk(chunk, 1);
+      if (!chunk_status.ok()) return chunk_status;
       const int64_t size = chunk.size();
       result.rows_streamed += size;
       n += size;
       for (int64_t i = 0; i < size; ++i) {
-        double roi = chunk.roi[AsSize64(i)];
-        double cost = chunk.cost[AsSize64(i)];
-        Status row_status = ValidateRow(chunk.base_index + i, roi, cost);
-        if (!row_status.ok()) return row_status;
+        double roi = chunk.roi[0][AsSize64(i)];
+        double cost = chunk.cost[0][AsSize64(i)];
         if (roi > 0.0) spend_at_zero += cost;
         max_roi = std::max(max_roi, roi);
       }
@@ -328,13 +264,13 @@ StatusOr<StreamingResult> DualStream(RowSource* source, double budget,
         const int64_t size = chunk.size();
         result.rows_streamed += size;
         for (int64_t i = 0; i < size; ++i) {
-          double roi = chunk.roi[AsSize64(i)];
+          double roi = chunk.roi[0][AsSize64(i)];
           // Number of candidates strictly below roi = the highest g with
           // candidates[g] < roi, plus one; bucket grid catches the rest.
           size_t b = static_cast<size_t>(
               std::lower_bound(candidates.begin(), candidates.end(), roi) -
               candidates.begin());
-          bucket_cost[b] += chunk.cost[AsSize64(i)];
+          bucket_cost[b] += chunk.cost[0][AsSize64(i)];
         }
       }
       // spend(candidates[g]) = total cost of rows with roi > candidate =
@@ -376,13 +312,13 @@ StatusOr<StreamingResult> DualStream(RowSource* source, double budget,
       const int64_t size = chunk.size();
       result.rows_streamed += size;
       for (int64_t i = 0; i < size; ++i) {
-        double roi = chunk.roi[AsSize64(i)];
-        double cost = chunk.cost[AsSize64(i)];
-        int64_t index = chunk.base_index + i;
+        double roi = chunk.roi[0][AsSize64(i)];
+        double cost = chunk.cost[0][AsSize64(i)];
+        int64_t index = chunk.base_user + i;
         if (roi > theta) {
           ub_sum += (roi - theta) * cost;
           if (result.spent + cost <= budget) {
-            if (!PushSelected(index, accountant, &result)) {
+            if (!PushSelected(index, accountant, &result.selected)) {
               return CapExceeded(*accountant);
             }
             result.spent += cost;
@@ -407,7 +343,7 @@ StatusOr<StreamingResult> DualStream(RowSource* source, double budget,
       result.merge_candidates = static_cast<int64_t>(repair.items().size());
       for (const FrontierItem& item : repair.items()) {
         if (result.spent + item.cost <= budget) {
-          if (!PushSelected(item.index, accountant, &result)) {
+          if (!PushSelected(item.index, accountant, &result.selected)) {
             return CapExceeded(*accountant);
           }
           result.spent += item.cost;
@@ -454,10 +390,131 @@ void RecordMetrics(const StreamingOptions& options,
 
 }  // namespace
 
+StatusOr<GreedyScan> ShardedGreedyScan(RowSource* source, double budget,
+                                       const std::vector<double>& arm_budgets,
+                                       int num_shards, bool parallel_shards,
+                                       size_t memory_cap_bytes) {
+  ROICL_CHECK(source != nullptr);
+  const int num_arms = source->num_arms();
+  ROICL_CHECK(num_arms >= 1);
+  ROICL_CHECK(static_cast<int>(arm_budgets.size()) == num_arms);
+  obs::ScopedSpan span("alloc.greedy");
+  if (num_shards <= 0) {
+    return Status::InvalidArgument("num_shards must be positive");
+  }
+  MemoryAccountant accountant(memory_cap_bytes);
+  // The shard objects are working memory too: uncharged, a large enough
+  // shard count alone would outgrow the cap.
+  if (!accountant.TryCharge(source->chunk_bytes()) ||
+      !accountant.TryCharge(AsSize(num_shards) *
+                            (sizeof(ShardFrontier) +
+                             sizeof(std::unique_ptr<ShardFrontier>)))) {
+    return CapExceeded(accountant);
+  }
+  std::vector<std::unique_ptr<ShardFrontier>> shards;
+  shards.reserve(AsSize(num_shards));
+  for (int s = 0; s < num_shards; ++s) {
+    shards.push_back(std::make_unique<ShardFrontier>(budget, &accountant));
+  }
+
+  const int64_t n = source->total_rows();
+  GreedyScan scan;
+  scan.arm_spent.assign(AsSize(num_arms), 0.0);
+  source->Reset();
+  RowChunk chunk;
+  // Adds the best pair of the chunk's i-th user. The pair index
+  // (arm - 1) * n + user makes RankBefore's (roi desc, index asc) order
+  // the campaign's (roi desc, arm asc, user asc) total order.
+  const auto add_best_pair = [&](ShardFrontier* frontier, size_t i) {
+    const size_t a = BestArmSlot(chunk, i);
+    return frontier->Add(static_cast<int64_t>(a) * n + chunk.base_user +
+                             static_cast<int64_t>(i),
+                         chunk.roi[a][i], chunk.cost[a][i]);
+  };
+  bool over_cap = false;
+  {
+    obs::ScopedSpan stream_span("alloc.greedy.stream");
+    while (!over_cap && source->Next(&chunk)) {
+      // Validate the chunk serially first: the first bad pair reported is
+      // then deterministic at any shard count or thread interleaving.
+      Status chunk_status = ValidateChunk(chunk, num_arms);
+      if (!chunk_status.ok()) return chunk_status;
+      const int64_t size = chunk.size();
+      scan.rows_streamed += size;
+      if (parallel_shards && num_shards > 1) {
+        // Shards are disjoint (user -> user % num_shards), so each task
+        // touches only its own frontier; the accountant is atomic. Every
+        // shard sees its users in index order regardless of interleaving,
+        // making the outcome bitwise-identical to the serial path.
+        std::atomic<bool> chunk_over_cap{false};
+        GlobalThreadPool().ParallelFor(0, num_shards, [&](int s) {
+          ShardFrontier* frontier = shards[AsSize(s)].get();
+          for (int64_t i = 0; i < size; ++i) {
+            if ((chunk.base_user + i) % num_shards != s) continue;
+            if (!add_best_pair(frontier, AsSize64(i))) {
+              chunk_over_cap.store(true, std::memory_order_relaxed);
+              return;
+            }
+          }
+        });
+        over_cap = chunk_over_cap.load(std::memory_order_relaxed);
+      } else {
+        for (int64_t i = 0; i < size && !over_cap; ++i) {
+          const int s = static_cast<int>((chunk.base_user + i) % num_shards);
+          over_cap = !add_best_pair(shards[AsSize(s)].get(), AsSize64(i));
+        }
+      }
+    }
+  }
+  if (over_cap) return CapExceeded(accountant);
+
+  obs::ScopedSpan merge_span("alloc.merge");
+  size_t total = 0;
+  for (std::unique_ptr<ShardFrontier>& shard : shards) {
+    if (!shard->Compact()) return CapExceeded(accountant);
+    total += shard->items().size();
+    scan.frontier_evictions += shard->evictions();
+  }
+  if (!accountant.TryCharge(total * sizeof(FrontierItem))) {
+    return CapExceeded(accountant);
+  }
+  std::vector<FrontierItem> merged;
+  merged.reserve(total);
+  for (std::unique_ptr<ShardFrontier>& shard : shards) {
+    merged.insert(merged.end(), shard->items().begin(),
+                  shard->items().end());
+  }
+  std::sort(merged.begin(), merged.end(), RankBefore);
+  scan.merge_candidates = static_cast<int64_t>(total);
+
+  // Exact reconciliation (soundness sketch, step 4): replay the
+  // reference's stop-at-first-overflow scan over the merged candidates.
+  // Every item is its user's best pair and users are unique across
+  // frontiers, so the reference's assigned-user skip never fires here.
+  for (const FrontierItem& item : merged) {
+    const size_t a = AsSize64(item.index / n);
+    if (!(scan.spent + item.cost <= budget)) break;
+    if (!(scan.arm_spent[a] + item.cost <= arm_budgets[a])) break;
+    if (!PushSelected(item.index, &accountant, &scan.selected)) {
+      return CapExceeded(accountant);
+    }
+    scan.spent += item.cost;
+    scan.arm_spent[a] += item.cost;
+    scan.value += item.roi * item.cost;
+  }
+  scan.peak_memory_bytes = accountant.peak();
+  return scan;
+}
+
 StatusOr<StreamingResult> StreamingAllocate(RowSource* source, double budget,
                                             const StreamingOptions& options) {
   ROICL_CHECK(source != nullptr);
   obs::ScopedSpan span("alloc.streaming");
+  if (source->num_arms() != 1) {
+    return Status::InvalidArgument(
+        "StreamingAllocate needs a one-arm source; allocate K arms with "
+        "campaign::StreamingKArmAllocate");
+  }
   if (!std::isfinite(budget) || budget < 0.0) {
     return Status::InvalidArgument("budget must be finite and >= 0");
   }
@@ -469,20 +526,32 @@ StatusOr<StreamingResult> StreamingAllocate(RowSource* source, double budget,
     return Status::InvalidArgument(
         "dual mode needs dual_passes >= 1 and dual_grid >= 2");
   }
-  MemoryAccountant accountant(options.memory_cap_bytes);
-  if (!accountant.TryCharge(source->chunk_bytes())) {
-    return Status::FailedPrecondition(
-        "memory cap (" + std::to_string(options.memory_cap_bytes) +
-        " bytes) cannot hold one chunk buffer (" +
-        std::to_string(source->chunk_bytes()) + " bytes)");
+  StreamingResult result;
+  if (options.mode == AllocMode::kGreedy) {
+    StatusOr<GreedyScan> greedy = ShardedGreedyScan(
+        source, budget, {std::numeric_limits<double>::infinity()},
+        options.num_shards, options.parallel_shards,
+        options.memory_cap_bytes);
+    if (!greedy.ok()) return greedy.status();
+    GreedyScan& scan = greedy.value();
+    result.selected = std::move(scan.selected);
+    result.spent = scan.spent;
+    result.value = scan.value;
+    result.rows_streamed = scan.rows_streamed;
+    result.peak_memory_bytes = scan.peak_memory_bytes;
+    result.frontier_evictions = scan.frontier_evictions;
+    result.merge_candidates = scan.merge_candidates;
+  } else {
+    MemoryAccountant accountant(options.memory_cap_bytes);
+    if (!accountant.TryCharge(source->chunk_bytes())) {
+      return CapExceeded(accountant);
+    }
+    StatusOr<StreamingResult> dual =
+        DualStream(source, budget, options, &accountant);
+    if (!dual.ok()) return dual.status();
+    result = std::move(dual).value();
+    result.peak_memory_bytes = accountant.peak();
   }
-  StatusOr<StreamingResult> streamed =
-      options.mode == AllocMode::kGreedy
-          ? GreedyStream(source, budget, options, &accountant)
-          : DualStream(source, budget, options, &accountant);
-  if (!streamed.ok()) return streamed.status();
-  StreamingResult result = std::move(streamed).value();
-  result.peak_memory_bytes = accountant.peak();
   RecordMetrics(options, result);
   return result;
 }
@@ -494,13 +563,10 @@ StatusOr<double> StreamingTotalCost(RowSource* source) {
   RowChunk chunk;
   double total = 0.0;
   while (source->Next(&chunk)) {
-    const int64_t size = chunk.size();
-    for (int64_t i = 0; i < size; ++i) {
-      Status row_status =
-          ValidateRow(chunk.base_index + i, chunk.roi[AsSize64(i)],
-                      chunk.cost[AsSize64(i)]);
-      if (!row_status.ok()) return row_status;
-      total += chunk.cost[AsSize64(i)];
+    Status chunk_status = ValidateChunk(chunk, source->num_arms());
+    if (!chunk_status.ok()) return chunk_status;
+    for (const std::vector<double>& arm : chunk.cost) {
+      for (double cost : arm) total += cost;
     }
   }
   return total;

@@ -10,18 +10,57 @@
 #include "common/status.h"
 
 /// \file
-/// Streaming C-BTAP budget allocator: sharded top-k frontiers with exact
-/// reconciliation, plus a Lagrangian dual-threshold mode.
+/// Streaming C-BTAP budget allocator: one sharded-frontier greedy over
+/// (user, arm) pairs with exact reconciliation, plus a Lagrangian
+/// dual-threshold mode for binary sources.
 ///
 /// `core::GreedyAllocate` (Algorithm 1) sorts the whole population by
 /// predicted ROI — O(n log n) time and O(n) resident memory, which dies
-/// at Criteo scale (13.9M rows). `StreamingAllocate` consumes the
+/// at Criteo scale (13.9M rows). `ShardedGreedyScan` consumes the
 /// population in bounded chunks instead, keeping only a *budget-feasible
-/// frontier* per shard, and merges the frontiers so that the greedy-mode
-/// selection is **bitwise identical** to the in-memory reference greedy:
-/// the same selected indices in the same order and the same
-/// floating-point spend. See DESIGN.md, "Streaming allocation" for the
-/// frontier invariant and the reconciliation proof sketch.
+/// frontier* per shard, and merges the frontiers so that its selection is
+/// **bitwise identical** to the in-memory reference: the same selected
+/// pairs in the same order and the same floating-point spends. Binary
+/// allocation is its K = 1 case (`StreamingAllocate`, reference
+/// `core::GreedyAllocate` with the stop variant); a K-arm campaign under
+/// a global budget B and per-arm budgets b_k is the general case
+/// (`campaign::StreamingKArmAllocate`, reference
+/// `campaign::KArmGreedyReference`).
+///
+/// Soundness sketch.
+///  1. Collapse. By the collapse lemma (campaign/karm_allocate.h) every
+///     pair the reference charges or stops at is its user's *best* pair
+///     (max roi, ties to the smaller arm), so the reference is
+///     Algorithm 1's stop-at-first-overflow scan over the n best pairs.
+///     A chunk carries each user's K pairs together, so the scan
+///     reduces every user to their best pair in O(K) with no extra
+///     state; at K = 1 the reduction is the identity.
+///  2. Frontier invariant (`ShardFrontier`). Users go to shards by
+///     user % num_shards. Per shard, in rank order r_1, r_2, ... of the
+///     best pairs seen so far, with floating-point prefix sums
+///     C_j = fl(C_{j-1} + c_j), the frontier after `Compact` holds
+///     exactly r_1..r_cut, where cut = min{ j : C_j > B } (every pair if
+///     no prefix exceeds B). r_cut is kept as the *stop sentinel*.
+///  3. Nothing the reference reaches is evicted. Let p be a pair the
+///     reference charges or stops at, and S <= B its spend just before
+///     p: the FP sum, in rank order, of every best pair ranked before p.
+///     FP summation of non-negative terms is monotone under inserting
+///     extra terms anywhere (fl(a + x) >= a for x >= 0, and fl is
+///     monotone), so p's shard-local prefix sum before p is <= S <= B,
+///     and p lies at or before its shard's cut. An arm-budget stop only
+///     shortens the reached prefix.
+///  4. Replay. The merged frontiers, sorted by the shared total order,
+///     therefore start with exactly the pairs the reference reaches, in
+///     the same order. The replay makes the same comparisons against B
+///     and b_k and sums the same doubles in the same order, so the
+///     selection, the spend, every per-arm spend and the value match
+///     bit for bit.
+///
+/// Memory model. One `MemoryAccountant` cap covers the chunk buffer, the
+/// shard objects themselves, every frontier's kept and pending capacity
+/// (including the transient merge double-buffer), the merged candidate
+/// list and the selection vector. Working memory is
+/// O(shards + shards x budget-feasible set + chunk), never O(population).
 ///
 /// The dual mode replaces the global sort with a single scalar ROI
 /// threshold bisected to budget feasibility (the "Free Lunch!" form of
@@ -70,28 +109,17 @@ struct FrontierItem {
   int64_t index = 0;
 };
 
-/// The documented allocation total order — (roi descending, user index
-/// ascending) — shared with core::GreedyAllocate. A strict total order:
-/// duplicate ROI keys break by stable user index, so every allocator in
-/// the repo ranks identically and equivalence is well defined.
+/// The documented allocation total order — (roi descending, index
+/// ascending), the index being the user at K = 1 and the pair index
+/// (arm - 1) * n + user for K arms — shared with core::GreedyAllocate and
+/// campaign::KArmGreedyReference. A strict total order: duplicate ROI
+/// keys break by stable index, so every allocator in the repo ranks
+/// identically and equivalence is well defined.
 bool RankBefore(const FrontierItem& a, const FrontierItem& b);
 
-/// Budget-feasible top-k frontier for one shard.
-///
-/// Invariant (exact, in rank order r_1, r_2, ... of the shard's rows seen
-/// so far, with C_j the floating-point prefix sum fl(C_{j-1} + c_j)):
-/// after `Compact`, the frontier holds r_1..r_cut where
-/// cut = min{ j : C_j > budget }, or every row when no prefix exceeds the
-/// budget. r_cut — the first shard-locally infeasible row — is retained
-/// as the *stop sentinel* so the merge can replay Algorithm 1's
-/// stop-at-first-overflow semantics exactly.
-///
-/// Safety: FP summation of non-negative terms is monotone under
-/// inserting extra terms anywhere (fl(a + x) >= a for x >= 0, and fl is
-/// monotone), so a row's global rank-order spend is >= its shard-local
-/// prefix sum. A row dropped here (shard prefix already over budget)
-/// therefore can never be selected by the global greedy, and the merged
-/// frontiers contain the full reference selection plus its stop row.
+/// Budget-feasible top-k frontier for one shard: after `Compact` it
+/// holds exactly the rank-order prefix r_1..r_cut of the invariant in
+/// the soundness sketch above, r_cut being the stop sentinel.
 ///
 /// Between compactions arrivals buffer unsorted; rows ranked at or below
 /// a known sentinel are discarded O(1). Amortized cost per row is
@@ -141,9 +169,9 @@ struct StreamingOptions {
   /// Rows are assigned to shards by index % num_shards; the result is
   /// independent of the shard count (it only bounds per-shard state).
   int num_shards = 1;
-  /// Hard cap on accounted working memory: chunk buffer + frontiers +
-  /// merge scratch + the selection vector. Exceeding it fails the
-  /// allocation with kFailedPrecondition rather than allocating.
+  /// Hard cap on accounted working memory: chunk buffer + shard objects
+  /// + frontiers + merge scratch + the selection vector. Exceeding it
+  /// fails the allocation with kFailedPrecondition rather than allocating.
   size_t memory_cap_bytes = size_t{256} << 20;
   /// Accumulate shard frontiers concurrently on the global thread pool.
   /// Greedy mode only. Results are bitwise identical either way: each
@@ -183,23 +211,57 @@ struct StreamingResult {
   int64_t dual_threshold_overflow = 0;
 };
 
-/// Streams `source` and allocates the binary treatment under `budget`.
+/// Output of `ShardedGreedyScan`.
+struct GreedyScan {
+  /// Charged (user, arm) pairs in charge (rank) order, encoded as
+  /// (arm - 1) * n + user — at K = 1 simply the user index.
+  std::vector<int64_t> selected;
+  double spent = 0.0;             ///< FP sum in charge order.
+  std::vector<double> arm_spent;  ///< per-arm FP sums in charge order.
+  double value = 0.0;             ///< sum of roi * cost in charge order.
+  int64_t rows_streamed = 0;
+  size_t peak_memory_bytes = 0;
+  int64_t frontier_evictions = 0;
+  int64_t merge_candidates = 0;  ///< frontier pairs surviving to the merge
+};
+
+/// The one streaming greedy: streams `source`, reduces each user to their
+/// best arm, keeps a budget-feasible frontier per shard, merges the
+/// frontiers, and replays the stop-at-first-overflow scan under `budget`
+/// and `arm_budgets[k]` for arm k + 1 (+inf = unbounded), all inside
+/// `memory_cap_bytes`. Pairs rank by (roi descending, pair index
+/// ascending), i.e. (roi desc, arm asc, user asc); the soundness sketch
+/// above makes the result bitwise equal to the in-memory references.
 ///
-/// Greedy mode returns a selection bitwise identical to
+/// Requires `arm_budgets.size() == source->num_arms()`; budget values are
+/// the caller's to validate. Errors: kInvalidArgument for a non-positive
+/// shard count, a chunk of the wrong shape, a non-finite ROI score or a
+/// negative or non-finite cost; kFailedPrecondition when the memory cap
+/// cannot hold the working state.
+StatusOr<GreedyScan> ShardedGreedyScan(RowSource* source, double budget,
+                                       const std::vector<double>& arm_budgets,
+                                       int num_shards, bool parallel_shards,
+                                       size_t memory_cap_bytes);
+
+/// Streams a binary `source` and allocates the treatment under `budget`.
+///
+/// Greedy mode is `ShardedGreedyScan` with one unbounded arm: a selection
+/// bitwise identical to
 /// `core::GreedyAllocate(roi, cost, budget, /*skip_unaffordable=*/false)`
 /// — the paper's stop-at-first-overflow Algorithm 1 — while holding only
 /// frontier state bounded by the budget-feasible set size (times the
 /// shard count), never the population.
 ///
-/// Errors: kInvalidArgument for a non-finite budget/ROI score, a
-/// negative or non-finite cost, or bad options; kFailedPrecondition when
-/// the memory cap cannot hold the working state.
+/// Errors: kInvalidArgument for a source with more than one arm, a
+/// non-finite budget/ROI score, a negative or non-finite cost, or bad
+/// options; kFailedPrecondition when the memory cap cannot hold the
+/// working state.
 StatusOr<StreamingResult> StreamingAllocate(RowSource* source, double budget,
                                             const StreamingOptions& options);
 
-/// One O(1)-memory pass summing every cost — the CLI computes
-/// budget = budget_frac * total cost this way for sources too large to
-/// materialize. Rejects negative or non-finite costs.
+/// One O(1)-memory pass summing every cost of every arm — the CLI
+/// computes budget = budget_frac * total cost this way for sources too
+/// large to materialize. Rejects negative or non-finite costs.
 StatusOr<double> StreamingTotalCost(RowSource* source);
 
 }  // namespace roicl::alloc

@@ -13,7 +13,7 @@
 ///   (roi descending, arm ascending, user ascending),
 /// realized as (roi descending, pair-index ascending) with the pair
 /// encoding index = (arm - 1) * n + user — the same strict order the
-/// binary allocators share, so streaming equivalence (karm_streaming.h)
+/// binary allocators share, so streaming equivalence (alloc/streaming.h)
 /// is well defined. The scan skips pairs of already-assigned users
 /// (skips spend nothing) and STOPS outright at the first pair that would
 /// overflow either the global budget or its own arm's budget.
@@ -27,8 +27,9 @@
 /// reaching p). Hence every pair the scan charges *or stops at* is its
 /// user's best pair, and the K·n-pair scan is exactly the binary
 /// Algorithm-1 scan over the n best pairs. `KArmGreedyReference` runs
-/// the full K·n-pair scan; the streaming allocator runs the reduced
-/// form; the equivalence tests pin them bitwise to each other.
+/// the full K·n-pair scan; the streaming allocator
+/// (`alloc::ShardedGreedyScan`) runs the reduced form; the equivalence
+/// tests pin them bitwise to each other.
 
 namespace roicl::campaign {
 

@@ -1,109 +1,20 @@
 #ifndef ROICL_CAMPAIGN_KARM_SOURCE_H_
 #define ROICL_CAMPAIGN_KARM_SOURCE_H_
 
-#include <cstddef>
-#include <cstdint>
-#include <vector>
+#include "alloc/row_source.h"
 
 /// \file
-/// Chunked (user, arm) row streams for the K-arm campaign allocator.
-///
-/// The binary allocator streams (roi, cost) pairs (alloc/row_source.h);
-/// a K-arm campaign streams one row *per user* carrying that user's K
-/// candidate pairs side by side. Handing all of a user's arms to the
-/// allocator at once is load-bearing: the streaming allocator reduces
-/// each user to their best pair locally (see karm_streaming.h), which is
-/// only possible when the pairs arrive together. Every implementation
-/// must be deterministic: repeated passes yield bitwise-identical rows in
-/// identical order at any chunk size.
+/// The K-arm campaign's names for the allocator's row streams. A campaign
+/// streams the same chunks binary allocation does (alloc/row_source.h):
+/// one row per user, carrying that user's K (roi, cost) pairs side by
+/// side, with binary allocation as the K = 1 stream.
 
 namespace roicl::campaign {
 
-/// One chunk of the user stream: for users
-/// [base_user, base_user + size()), `roi[k][i]` / `cost[k][i]` are the
-/// predicted ROI and incremental cost of treating user (base_user + i)
-/// with arm (k + 1). The allocator holds at most one chunk at a time.
-struct KArmRowChunk {
-  int64_t base_user = 0;
-  /// Outer index is the 0-based arm slot (arm k+1); inner vectors are
-  /// parallel across arms.
-  std::vector<std::vector<double>> roi;
-  std::vector<std::vector<double>> cost;
-
-  int num_arms() const { return static_cast<int>(roi.size()); }
-  int64_t size() const {
-    return roi.empty() ? 0 : static_cast<int64_t>(roi[0].size());
-  }
-};
-
-/// Pull-based chunked K-arm stream; `Reset` rewinds to the first user.
-class KArmRowSource {
- public:
-  virtual ~KArmRowSource() = default;
-
-  virtual bool Next(KArmRowChunk* chunk) = 0;
-  virtual void Reset() = 0;
-
-  /// Total users the stream yields per pass (known up front).
-  virtual int64_t total_users() const = 0;
-  virtual int num_arms() const = 0;
-
-  /// Bytes of chunk buffer a `Next` call may hand out — charged against
-  /// the allocator's memory cap like the binary source's chunk buffer.
-  virtual size_t chunk_bytes() const = 0;
-};
-
-/// Adapts in-memory per-arm score/cost matrices (the scenario runner and
-/// the equivalence tests) to the chunked interface. `roi[k]` and
-/// `cost[k]` must all have equal length.
-class VectorKArmRowSource : public KArmRowSource {
- public:
-  VectorKArmRowSource(std::vector<std::vector<double>> roi,
-                      std::vector<std::vector<double>> cost, int chunk_rows);
-
-  bool Next(KArmRowChunk* chunk) override;
-  void Reset() override { pos_ = 0; }
-  int64_t total_users() const override {
-    return roi_.empty() ? 0 : static_cast<int64_t>(roi_[0].size());
-  }
-  int num_arms() const override { return static_cast<int>(roi_.size()); }
-  size_t chunk_bytes() const override;
-
- private:
-  std::vector<std::vector<double>> roi_;
-  std::vector<std::vector<double>> cost_;
-  int64_t chunk_rows_;
-  int64_t pos_ = 0;
-};
-
-/// Deterministic synthetic K-arm population for scale tests and
-/// benchmarks: user u's pair for arm k is a pure function of
-/// (seed, u, k) via the binary SyntheticRowSource generator on a
-/// SplitMix64-derived per-arm seed, so any chunking yields identical
-/// rows and a pinned seed reproduces the exact stream.
-class SyntheticKArmRowSource : public KArmRowSource {
- public:
-  SyntheticKArmRowSource(int64_t n, int num_arms, uint64_t seed,
-                         int chunk_rows);
-
-  bool Next(KArmRowChunk* chunk) override;
-  void Reset() override { pos_ = 0; }
-  int64_t total_users() const override { return n_; }
-  int num_arms() const override { return num_arms_; }
-  size_t chunk_bytes() const override;
-
-  /// The (roi, cost) pair of (user, arm) — pure function of
-  /// (seed, user, arm). `arm` is 1-based.
-  static void PairAt(uint64_t seed, int64_t user, int arm, double* roi,
-                     double* cost);
-
- private:
-  int64_t n_;
-  int num_arms_;
-  uint64_t seed_;
-  int64_t chunk_rows_;
-  int64_t pos_ = 0;
-};
+using KArmRowChunk = alloc::RowChunk;
+using KArmRowSource = alloc::RowSource;
+using VectorKArmRowSource = alloc::VectorRowSource;
+using SyntheticKArmRowSource = alloc::SyntheticRowSource;
 
 }  // namespace roicl::campaign
 

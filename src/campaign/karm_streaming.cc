@@ -1,75 +1,16 @@
 #include "campaign/karm_streaming.h"
 
-#include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <memory>
-#include <string>
-#include <vector>
+#include <utility>
 
 #include "alloc/streaming.h"
 #include "common/macros.h"
-#include "common/math_util.h"
-#include "common/thread_pool.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace roicl::campaign {
 namespace {
-
-Status ValidatePair(int64_t user, int arm, double roi, double cost) {
-  if (!std::isfinite(roi)) {
-    return Status::InvalidArgument(
-        "non-finite roi score at user " + std::to_string(user) + " arm " +
-        std::to_string(arm));
-  }
-  if (!(cost >= 0.0) || !std::isfinite(cost)) {
-    return Status::InvalidArgument(
-        "negative or non-finite cost at user " + std::to_string(user) +
-        " arm " + std::to_string(arm));
-  }
-  return Status::Ok();
-}
-
-Status CapExceeded(const alloc::MemoryAccountant& accountant) {
-  return Status::FailedPrecondition(
-      "streaming campaign allocation exceeded its memory cap (" +
-      std::to_string(accountant.cap()) +
-      " bytes); raise the cap or lower the budget/shard count");
-}
-
-/// Appends to `result->selected_pairs`, growing through the accountant so
-/// the selection buffer counts against the cap too.
-bool PushSelected(int64_t index, alloc::MemoryAccountant* accountant,
-                  KArmStreamingResult* result) {
-  std::vector<int64_t>& selected = result->selected_pairs;
-  if (selected.size() == selected.capacity()) {
-    size_t grow = std::max<size_t>(1024, selected.capacity() * 2);
-    if (!accountant->TryCharge((grow - selected.capacity()) *
-                               sizeof(int64_t))) {
-      return false;
-    }
-    selected.reserve(grow);
-  }
-  selected.push_back(index);
-  return true;
-}
-
-/// The per-user reduction of the collapse lemma: the user's best pair is
-/// their highest-roi arm, ties to the smaller arm — exactly the first of
-/// the user's pairs under (roi desc, arm asc, user asc).
-int BestArmSlot(const KArmRowChunk& chunk, int64_t i) {
-  int best = 0;
-  for (int a = 1; a < chunk.num_arms(); ++a) {
-    // Strict > keeps the smaller arm on ties.
-    if (chunk.roi[AsSize(a)][AsSize64(i)] >
-        chunk.roi[AsSize(best)][AsSize64(i)]) {
-      best = a;
-    }
-  }
-  return best;
-}
 
 void RecordMetrics(const KArmStreamingOptions& options, int num_arms,
                    const KArmStreamingResult& result) {
@@ -107,10 +48,6 @@ StatusOr<KArmStreamingResult> StreamingKArmAllocate(
   ROICL_CHECK(source != nullptr);
   obs::ScopedSpan span("campaign.allocate");
   const int num_arms = source->num_arms();
-  const int64_t n = source->total_users();
-  if (num_arms < 1) {
-    return Status::InvalidArgument("source must carry at least one arm");
-  }
   if (!std::isfinite(budgets.global) || budgets.global < 0.0) {
     return Status::InvalidArgument("global budget must be finite and >= 0");
   }
@@ -123,129 +60,21 @@ StatusOr<KArmStreamingResult> StreamingKArmAllocate(
       return Status::InvalidArgument("per-arm budgets must be >= 0");
     }
   }
-  if (options.num_shards <= 0) {
-    return Status::InvalidArgument("num_shards must be positive");
-  }
 
-  alloc::MemoryAccountant accountant(options.memory_cap_bytes);
-  if (!accountant.TryCharge(source->chunk_bytes())) {
-    return Status::FailedPrecondition(
-        "memory cap (" + std::to_string(options.memory_cap_bytes) +
-        " bytes) cannot hold one chunk buffer (" +
-        std::to_string(source->chunk_bytes()) + " bytes)");
-  }
-
-  const int num_shards = options.num_shards;
-  std::vector<std::unique_ptr<alloc::ShardFrontier>> shards;
-  shards.reserve(AsSize(num_shards));
-  for (int s = 0; s < num_shards; ++s) {
-    shards.push_back(
-        std::make_unique<alloc::ShardFrontier>(budgets.global, &accountant));
-  }
-
+  StatusOr<alloc::GreedyScan> greedy = alloc::ShardedGreedyScan(
+      source, budgets.global, budgets.per_arm, options.num_shards,
+      options.parallel_shards, options.memory_cap_bytes);
+  if (!greedy.ok()) return greedy.status();
+  alloc::GreedyScan& scan = greedy.value();
   KArmStreamingResult result;
-  result.arm_spent.assign(AsSize(num_arms), 0.0);
-  source->Reset();
-  KArmRowChunk chunk;
-  bool over_cap = false;
-  {
-    obs::ScopedSpan stream_span("campaign.allocate.stream");
-    while (!over_cap && source->Next(&chunk)) {
-      const int64_t size = chunk.size();
-      if (chunk.num_arms() != num_arms) {
-        return Status::InvalidArgument(
-            "source yielded a chunk with the wrong arm count");
-      }
-      for (int a = 0; a < num_arms; ++a) {
-        if (static_cast<int64_t>(chunk.roi[AsSize(a)].size()) != size ||
-            static_cast<int64_t>(chunk.cost[AsSize(a)].size()) != size) {
-          return Status::InvalidArgument(
-              "source yielded ragged per-arm chunk vectors");
-        }
-      }
-      result.users_streamed += size;
-      // Validate every pair serially first: the first bad pair reported
-      // is then deterministic at any shard count or interleaving.
-      for (int64_t i = 0; i < size; ++i) {
-        for (int a = 0; a < num_arms; ++a) {
-          Status pair_status = ValidatePair(
-              chunk.base_user + i, a + 1, chunk.roi[AsSize(a)][AsSize64(i)],
-              chunk.cost[AsSize(a)][AsSize64(i)]);
-          if (!pair_status.ok()) return pair_status;
-        }
-      }
-      // Per-user best-pair reduction, then the binary frontier path. The
-      // pair encoding index = (arm - 1) * n + user makes alloc's
-      // (roi desc, index asc) rank order coincide with the campaign's
-      // (roi desc, arm asc, user asc) total order.
-      if (options.parallel_shards && num_shards > 1) {
-        std::atomic<bool> chunk_over_cap{false};
-        GlobalThreadPool().ParallelFor(0, num_shards, [&](int s) {
-          alloc::ShardFrontier* frontier = shards[AsSize(s)].get();
-          for (int64_t i = 0; i < size; ++i) {
-            int64_t user = chunk.base_user + i;
-            if (user % num_shards != s) continue;
-            int a = BestArmSlot(chunk, i);
-            if (!frontier->Add(static_cast<int64_t>(a) * n + user,
-                               chunk.roi[AsSize(a)][AsSize64(i)],
-                               chunk.cost[AsSize(a)][AsSize64(i)])) {
-              chunk_over_cap.store(true, std::memory_order_relaxed);
-              return;
-            }
-          }
-        });
-        over_cap = chunk_over_cap.load(std::memory_order_relaxed);
-      } else {
-        for (int64_t i = 0; i < size && !over_cap; ++i) {
-          int64_t user = chunk.base_user + i;
-          int s = static_cast<int>(user % num_shards);
-          int a = BestArmSlot(chunk, i);
-          over_cap = !shards[AsSize(s)]->Add(
-              static_cast<int64_t>(a) * n + user,
-              chunk.roi[AsSize(a)][AsSize64(i)],
-              chunk.cost[AsSize(a)][AsSize64(i)]);
-        }
-      }
-    }
-  }
-  if (over_cap) return CapExceeded(accountant);
-
-  obs::ScopedSpan merge_span("campaign.allocate.merge");
-  size_t total = 0;
-  for (std::unique_ptr<alloc::ShardFrontier>& shard : shards) {
-    if (!shard->Compact()) return CapExceeded(accountant);
-    total += shard->items().size();
-    result.frontier_evictions += shard->evictions();
-  }
-  if (!accountant.TryCharge(total * sizeof(alloc::FrontierItem))) {
-    return CapExceeded(accountant);
-  }
-  std::vector<alloc::FrontierItem> merged;
-  merged.reserve(total);
-  for (std::unique_ptr<alloc::ShardFrontier>& shard : shards) {
-    merged.insert(merged.end(), shard->items().begin(),
-                  shard->items().end());
-  }
-  std::sort(merged.begin(), merged.end(), alloc::RankBefore);
-  result.merge_candidates = static_cast<int64_t>(total);
-
-  // Exact reconciliation: replay the reference's skip-assigned /
-  // stop-at-first-overflow scan. Every item is already its user's best
-  // pair and users are unique across frontiers, so no assigned-user
-  // skip can occur here; the comparisons and accumulation order match
-  // KArmGreedyReference exactly.
-  for (const alloc::FrontierItem& item : merged) {
-    const size_t a = AsSize64(item.index / n);
-    if (!(result.spent + item.cost <= budgets.global)) break;
-    if (!(result.arm_spent[a] + item.cost <= budgets.per_arm[a])) break;
-    if (!PushSelected(item.index, &accountant, &result)) {
-      return CapExceeded(accountant);
-    }
-    result.spent += item.cost;
-    result.arm_spent[a] += item.cost;
-    result.value += item.roi * item.cost;
-  }
-  result.peak_memory_bytes = accountant.peak();
+  result.selected_pairs = std::move(scan.selected);
+  result.spent = scan.spent;
+  result.arm_spent = std::move(scan.arm_spent);
+  result.value = scan.value;
+  result.users_streamed = scan.rows_streamed;
+  result.peak_memory_bytes = scan.peak_memory_bytes;
+  result.frontier_evictions = scan.frontier_evictions;
+  result.merge_candidates = scan.merge_candidates;
   RecordMetrics(options, num_arms, result);
   return result;
 }

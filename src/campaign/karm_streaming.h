@@ -10,30 +10,11 @@
 #include "common/status.h"
 
 /// \file
-/// Streaming K-arm campaign allocator: the binary sharded-frontier
-/// machinery (alloc/streaming.h) reused for (user, arm) pairs, bitwise
-/// identical to `KArmGreedyReference` at any shard count or chunk size
-/// while holding only frontier state under a hard memory cap.
-///
-/// Soundness sketch. By the collapse lemma (karm_allocate.h) the
-/// reference's K·n-pair scan charges — and stops at — only per-user
-/// *best* pairs. The stream hands each user's K pairs over together
-/// (KArmRowChunk), so the allocator reduces every user to their best
-/// pair in O(K) with no extra state, then runs the binary frontier over
-/// those n pairs: shard by user index, frontier budget = the global cap
-/// B only. A best pair dropped by a frontier has a shard-local
-/// best-pair prefix spend above B; the reference's spend when it reaches
-/// that pair is the FP sum over ALL best pairs ranked before it — a
-/// superset, hence (FP summation of non-negative terms is monotone
-/// under inserting terms) at least the shard prefix minus the pair's own
-/// cost — so the pair could never be charged, and an arm-budget stop can
-/// only shorten the charged prefix further. Conversely the stop row
-/// itself — global or arm overflow — always survives the cut (its
-/// shard prefix is <= B + its own cost, and the frontier keeps the first
-/// over-budget row as the stop sentinel). The merged frontiers therefore
-/// contain the full reference selection plus its stop row in rank
-/// order, and the replay reproduces the reference's selections, FP
-/// spend, per-arm FP spends, and value bit for bit.
+/// Streaming K-arm campaign allocator: `alloc::ShardedGreedyScan` under
+/// the campaign's budgets, bitwise identical to `KArmGreedyReference` at
+/// any shard count or chunk size while holding only frontier state under
+/// a hard memory cap. The soundness sketch lives with that scan, in
+/// alloc/streaming.h.
 
 namespace roicl::campaign {
 
@@ -41,9 +22,9 @@ struct KArmStreamingOptions {
   /// Users are assigned to shards by user % num_shards; the result is
   /// independent of the shard count (it only bounds per-shard state).
   int num_shards = 1;
-  /// Hard cap on accounted working memory: chunk buffer + per-user
-  /// reduction scratch + frontiers + merge scratch + the selection
-  /// vector. Exceeding it fails with kFailedPrecondition.
+  /// Hard cap on accounted working memory: chunk buffer + shard objects
+  /// + frontiers + merge scratch + the selection vector. Exceeding it
+  /// fails with kFailedPrecondition.
   size_t memory_cap_bytes = size_t{256} << 20;
   /// Accumulate shard frontiers concurrently on the global thread pool.
   /// Bitwise identical either way: each shard sees its users in index

@@ -19,7 +19,7 @@ struct AllocationResult {
 /// Allocation order is the documented strict total order
 /// **(roi descending, index ascending)**: duplicate ROI keys break by
 /// stable individual index. This is a repo-wide contract — the streaming
-/// allocator (`alloc::RankBefore`) and the Lagrangian primal repair rank
+/// allocator (`alloc::RankBefore`) and the dual mode's primal repair rank
 /// by the same order, which is what makes bitwise equivalence between
 /// the in-memory and streaming allocators well defined even on inputs
 /// with thousands of duplicate keys.

@@ -1,7 +1,6 @@
 #include "core/multi_treatment.h"
 
-#include <algorithm>
-#include <numeric>
+#include <string>
 
 #include "common/macros.h"
 #include "common/math_util.h"
@@ -97,53 +96,6 @@ StatusOr<DivideAndConquerRdrp> DivideAndConquerRdrp::Load(
         std::make_unique<RdrpModel>(std::move(arm).value()));
   }
   return model;
-}
-
-MultiAllocationResult GreedyAllocateMulti(
-    const std::vector<std::vector<double>>& roi_scores,
-    const std::vector<std::vector<double>>& costs, double budget) {
-  ROICL_CHECK(!roi_scores.empty());
-  ROICL_CHECK(roi_scores.size() == costs.size());
-  size_t num_arms = roi_scores.size();
-  size_t n = roi_scores[0].size();
-  for (size_t k = 0; k < num_arms; ++k) {
-    ROICL_CHECK(roi_scores[k].size() == n);
-    ROICL_CHECK(costs[k].size() == n);
-  }
-  ROICL_CHECK(budget >= 0.0);
-
-  struct Pair {
-    int user;
-    int arm;  // 1-based
-    double roi;
-  };
-  std::vector<Pair> pairs;
-  pairs.reserve(num_arms * n);
-  for (size_t k = 0; k < num_arms; ++k) {
-    for (size_t i = 0; i < n; ++i) {
-      pairs.push_back({static_cast<int>(i), static_cast<int>(k + 1),
-                       roi_scores[k][i]});
-    }
-  }
-  std::sort(pairs.begin(), pairs.end(), [](const Pair& a, const Pair& b) {
-    if (a.roi != b.roi) return a.roi > b.roi;
-    if (a.user != b.user) return a.user < b.user;
-    return a.arm < b.arm;
-  });
-
-  MultiAllocationResult result;
-  result.assignment.assign(n, -1);
-  for (const Pair& pair : pairs) {
-    const size_t user = AsSize(pair.user);
-    if (result.assignment[user] != -1) continue;  // one arm per user
-    double cost = costs[AsSize(pair.arm - 1)][user];
-    ROICL_CHECK(cost >= 0.0);
-    if (result.spent + cost <= budget) {
-      result.assignment[user] = pair.arm;
-      result.spent += cost;
-    }
-  }
-  return result;
 }
 
 }  // namespace roicl::core

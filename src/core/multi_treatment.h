@@ -62,18 +62,6 @@ class DivideAndConquerRdrp {
   std::vector<std::unique_ptr<RdrpModel>> models_;
 };
 
-/// Multi-treatment budget allocation: assign at most one arm per user,
-/// scanning (user, arm) pairs by ROI score descending and debiting
-/// `costs[k][i]` from the shared budget (skip-unaffordable greedy).
-/// Returns per-user assignment: -1 for untreated, else the 1-based arm.
-struct MultiAllocationResult {
-  std::vector<int> assignment;
-  double spent = 0.0;
-};
-MultiAllocationResult GreedyAllocateMulti(
-    const std::vector<std::vector<double>>& roi_scores,
-    const std::vector<std::vector<double>>& costs, double budget);
-
 }  // namespace roicl::core
 
 #endif  // ROICL_CORE_MULTI_TREATMENT_H_

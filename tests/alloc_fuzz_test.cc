@@ -105,7 +105,8 @@ TEST(AllocFuzzEdge, EmptyPopulation) {
     StreamingOptions options;
     options.mode = mode;
     options.num_shards = 8;  // every shard empty
-    VectorRowSource source({}, {}, /*chunk_rows=*/16);
+    VectorRowSource source(std::vector<double>{}, std::vector<double>{},
+                           /*chunk_rows=*/16);
     StatusOr<StreamingResult> result =
         StreamingAllocate(&source, 10.0, options);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -119,7 +120,8 @@ TEST(AllocFuzzEdge, SingleRowManyShards) {
     StreamingOptions options;
     options.mode = mode;
     options.num_shards = 8;  // seven shards of size zero, one of size one
-    VectorRowSource source({0.6}, {1.0}, /*chunk_rows=*/16);
+    VectorRowSource source(std::vector<double>{0.6},
+                           std::vector<double>{1.0}, /*chunk_rows=*/16);
     StatusOr<StreamingResult> result =
         StreamingAllocate(&source, 2.0, options);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -150,7 +152,8 @@ TEST(AllocFuzzEdge, NegativeAndInfiniteCostsAreRejected) {
 }
 
 TEST(AllocFuzzEdge, BadBudgetAndOptionsAreRejected) {
-  VectorRowSource source({0.5}, {1.0}, /*chunk_rows=*/16);
+  VectorRowSource source(std::vector<double>{0.5},
+                         std::vector<double>{1.0}, /*chunk_rows=*/16);
   EXPECT_EQ(StreamingAllocate(&source, std::nan(""), StreamingOptions{})
                 .status()
                 .code(),
@@ -191,6 +194,35 @@ TEST(AllocFuzzEdge, CapTooSmallForFrontierFailsCleanly) {
       StreamingAllocate(&source, 1e9, options);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
+}
+
+TEST(AllocFuzzEdge, ShardCountCannotBypassTheCap) {
+  // 2^20 shard objects need ~96 MiB before the first row arrives; they
+  // are working memory like any frontier, so a 10-row population cannot
+  // carry them past a 64 KiB cap.
+  SyntheticRowSource source(/*n=*/10, /*seed=*/7, /*chunk_rows=*/16);
+  StreamingOptions options;
+  options.num_shards = 1 << 20;
+  options.memory_cap_bytes = size_t{64} << 10;
+  StatusOr<StreamingResult> result =
+      StreamingAllocate(&source, 5.0, options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
+}
+
+TEST(AllocFuzzEdge, MultiArmSourceIsRejected) {
+  // Binary allocation is the one-arm stream; K arms go through the
+  // campaign allocator, which knows the per-arm budgets.
+  for (AllocMode mode : {AllocMode::kGreedy, AllocMode::kDual}) {
+    SyntheticRowSource source(/*n=*/10, /*num_arms=*/2, /*seed=*/7,
+                              /*chunk_rows=*/16);
+    StreamingOptions options;
+    options.mode = mode;
+    StatusOr<StreamingResult> result =
+        StreamingAllocate(&source, 5.0, options);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 /// Direct fuzz of the frontier data structure: after Compact, the kept

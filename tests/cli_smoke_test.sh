@@ -64,6 +64,14 @@ check_rejects "--batch-size must be positive" \
 check_rejects "--threads must be >= 0" \
   $CLI predict --model-type rdrp --model $WORK/model.rdrp \
       --data $WORK/test.csv --threads -1 --out $WORK/x.csv
+# A malformed --arm-budgets entry must fail before any training instead
+# of silently running that arm unbounded.
+check_rejects "--arm-budgets entry 'abc'" \
+  $CLI campaign --arm-budgets 0.2,abc,0.05
+check_rejects "--arm-budgets entry 'nan'" \
+  $CLI campaign --arm-budgets 0.2,nan,0.05
+check_rejects "--arm-budgets entry ''" \
+  $CLI campaign --arm-budgets 0.2,,0.05
 # --threads 0 is the documented "shared pool" setting, not an error.
 $CLI predict --model-type rdrp --model $WORK/model.rdrp \
     --data $WORK/test.csv --threads 0 --out $WORK/threads0.csv

@@ -14,7 +14,6 @@
 #include "core/conformal.h"
 #include "core/drp_model.h"
 #include "core/greedy.h"
-#include "core/multi_treatment.h"
 #include "data/csv.h"
 #include "data/split.h"
 #include "exp/table.h"
@@ -102,12 +101,6 @@ TEST(CheckDeathTest, ConformalRejectsInvalidAlpha) {
   std::vector<double> scores = {1.0, 2.0};
   EXPECT_DEATH(core::ConformalScoreQuantile(scores, 0.0), "alpha");
   EXPECT_DEATH(core::ConformalScoreQuantile(scores, 1.0), "alpha");
-}
-
-TEST(CheckDeathTest, MultiAllocatorRejectsRaggedInput) {
-  std::vector<std::vector<double>> roi = {{0.5, 0.6}};
-  std::vector<std::vector<double>> costs = {{1.0}};  // ragged
-  EXPECT_DEATH(core::GreedyAllocateMulti(roi, costs, 1.0), "");
 }
 
 // ---------- Numerical robustness under degenerate data ----------

@@ -1,9 +1,11 @@
 #include "core/multi_treatment.h"
 
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
+#include "campaign/karm_allocate.h"
 #include "common/math_util.h"
 #include "metrics/cost_curve.h"
 #include "synth/multi_treatment.h"
@@ -145,38 +147,6 @@ TEST(MultiTreatmentDeathTest, TrueRoiChecksNonPositiveCostEffect) {
   EXPECT_DEATH(data.TrueRoi(1, 1), "");
 }
 
-TEST(GreedyAllocateMultiTest, OneArmPerUser) {
-  // Two arms, three users; arm 2 strictly better ROI for user 0.
-  std::vector<std::vector<double>> roi = {{0.5, 0.9, 0.2},
-                                          {0.8, 0.1, 0.3}};
-  std::vector<std::vector<double>> costs = {{1.0, 1.0, 1.0},
-                                            {1.0, 1.0, 1.0}};
-  core::MultiAllocationResult result =
-      core::GreedyAllocateMulti(roi, costs, 2.0);
-  EXPECT_EQ(result.assignment[0], 2);  // best pair overall is (1, arm1)=0.9
-  EXPECT_EQ(result.assignment[1], 1);
-  EXPECT_EQ(result.assignment[2], -1);  // budget exhausted
-  EXPECT_DOUBLE_EQ(result.spent, 2.0);
-}
-
-TEST(GreedyAllocateMultiTest, SkipsUnaffordablePairs) {
-  std::vector<std::vector<double>> roi = {{0.9, 0.5}};
-  std::vector<std::vector<double>> costs = {{10.0, 1.0}};
-  core::MultiAllocationResult result =
-      core::GreedyAllocateMulti(roi, costs, 2.0);
-  EXPECT_EQ(result.assignment[0], -1);
-  EXPECT_EQ(result.assignment[1], 1);
-}
-
-TEST(GreedyAllocateMultiTest, ZeroBudgetTreatsNobody) {
-  std::vector<std::vector<double>> roi = {{0.9}};
-  std::vector<std::vector<double>> costs = {{1.0}};
-  core::MultiAllocationResult result =
-      core::GreedyAllocateMulti(roi, costs, 0.0);
-  EXPECT_EQ(result.assignment[0], -1);
-  EXPECT_DOUBLE_EQ(result.spent, 0.0);
-}
-
 TEST(DivideAndConquerRdrpTest, EndToEndBeatsRandomAllocation) {
   synth::MultiTreatmentGenerator generator = MakeGenerator();
   Rng rng(4);
@@ -206,7 +176,10 @@ TEST(DivideAndConquerRdrpTest, EndToEndBeatsRandomAllocation) {
   for (double c : costs[0]) all_in += c;
   double budget = 0.15 * all_in;
 
-  auto realize = [&](const core::MultiAllocationResult& alloc) {
+  campaign::KArmBudgets budgets;
+  budgets.global = budget;
+  budgets.per_arm.assign(2, std::numeric_limits<double>::infinity());
+  auto realize = [&](const campaign::KArmAllocationResult& alloc) {
     double revenue = 0.0;
     for (int i = 0; i < test.n(); ++i) {
       int arm = alloc.assignment[AsSize(i)];
@@ -215,8 +188,8 @@ TEST(DivideAndConquerRdrpTest, EndToEndBeatsRandomAllocation) {
     return revenue;
   };
 
-  core::MultiAllocationResult model_alloc =
-      core::GreedyAllocateMulti(scores, costs, budget);
+  campaign::KArmAllocationResult model_alloc =
+      campaign::KArmGreedyReference(scores, costs, budgets);
 
   Rng noise(5);
   std::vector<std::vector<double>> random_scores(
@@ -224,8 +197,8 @@ TEST(DivideAndConquerRdrpTest, EndToEndBeatsRandomAllocation) {
   for (auto& arm_scores : random_scores) {
     for (double& s : arm_scores) s = noise.Uniform();
   }
-  core::MultiAllocationResult random_alloc =
-      core::GreedyAllocateMulti(random_scores, costs, budget);
+  campaign::KArmAllocationResult random_alloc =
+      campaign::KArmGreedyReference(random_scores, costs, budgets);
 
   EXPECT_GT(realize(model_alloc), realize(random_alloc));
 }

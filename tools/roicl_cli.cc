@@ -77,7 +77,6 @@
 #include <memory>
 #include <numeric>
 #include <set>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -1141,10 +1140,24 @@ int CmdCampaign(const Flags& flags) {
   ranknet.predict = rdrp.drp.predict;
 
   if (flags.Has("arm-budgets")) {
-    std::stringstream list(flags.Get("arm-budgets"));
-    std::string token;
-    while (std::getline(list, token, ',')) {
-      config.arm_budget_fractions.push_back(std::atof(token.c_str()));
+    // Strict per-entry parse: atof would turn "abc", "nan" or an empty
+    // entry into 0 or NaN, which the scenario reads as an unbounded arm.
+    const std::string list = flags.Get("arm-budgets");
+    for (size_t start = 0;;) {
+      const size_t comma = list.find(',', start);
+      const std::string token = list.substr(start, comma - start);
+      char* end = nullptr;
+      const double fraction = std::strtod(token.c_str(), &end);
+      if (token.empty() || *end != '\0' || !std::isfinite(fraction)) {
+        std::fprintf(stderr,
+                     "--arm-budgets entry '%s' is not a finite number "
+                     "(in '%s')\n",
+                     token.c_str(), list.c_str());
+        return 2;
+      }
+      config.arm_budget_fractions.push_back(fraction);
+      if (comma == std::string::npos) break;
+      start = comma + 1;
     }
     if (static_cast<int>(config.arm_budget_fractions.size()) !=
         config.num_arms) {

@@ -29,10 +29,13 @@ build_dir=${2:-"${repo_root}/build-asan"}
 #                      construction
 #   alloc_fuzz_test    frontier merge double-buffering and the adversarial
 #                      (NaN, zero-budget, k=0) streaming-allocator inputs
+#   campaign_allocate_test  the K>1 paths of the shared streaming greedy:
+#                      per-arm chunk buffers and the pair decode
+#                      (index / n) into per-arm spend arrays
 asan_tests=(matrix_test solve_test data_test serialize_test nn_layers_test
             common_misc_test greedy_test uplift_test
             pipeline_roundtrip_test incremental_quantile_test
-            interval_backend_test alloc_fuzz_test)
+            interval_backend_test alloc_fuzz_test campaign_allocate_test)
 
 cmake -S "${repo_root}" -B "${build_dir}" -DROICL_SANITIZE=address \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null

@@ -28,9 +28,12 @@ build_dir=${2:-"${repo_root}/build-tsan"}
 #   alloc_fuzz_test       concurrent shard accumulation: disjoint
 #                         frontiers racing on the shared atomic memory
 #                         accountant (ConcurrentShardAccumulation case)
+#   campaign_allocate_test  the same parallel-shard accumulation with K>1
+#                         arms: shard tasks share one multi-arm chunk
+#                         (ParallelShardsMatchSequential case)
 tsan_tests=(annotated_mutex_test common_misc_test obs_test
             determinism_test scoring_service_test monitor_test
-            load_replay_test alloc_fuzz_test)
+            load_replay_test alloc_fuzz_test campaign_allocate_test)
 
 cmake -S "${repo_root}" -B "${build_dir}" -DROICL_SANITIZE=thread \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null

@@ -27,10 +27,12 @@ build_dir=${2:-"${repo_root}/build-ubsan"}
 #                      arithmetic and CQR residual normalization
 #   alloc_fuzz_test    int64 index arithmetic, dual-threshold bucket
 #                      math, and the frontier prefix-sum cut
+#   campaign_allocate_test  (arm - 1) * n + user pair encoding and its
+#                      index / n decode on the K>1 streaming path
 ubsan_tests=(rng_test stats_test matrix_test solve_test drp_loss_test
              conformal_test roi_star_test metrics_test
              incremental_quantile_test interval_backend_test
-             alloc_fuzz_test)
+             alloc_fuzz_test campaign_allocate_test)
 
 cmake -S "${repo_root}" -B "${build_dir}" -DROICL_SANITIZE=undefined \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
