@@ -79,18 +79,6 @@ bool PushSelected(int64_t index, MemoryAccountant* accountant,
   return true;
 }
 
-/// The per-user reduction of the collapse lemma: the user's best pair is
-/// their highest-roi arm, ties to the smaller arm — exactly the first of
-/// the user's pairs under (roi desc, arm asc, user asc).
-size_t BestArmSlot(const RowChunk& chunk, size_t i) {
-  size_t best = 0;
-  for (size_t a = 1; a < chunk.roi.size(); ++a) {
-    // Strict > keeps the smaller arm on ties.
-    if (chunk.roi[a][i] > chunk.roi[best][i]) best = a;
-  }
-  return best;
-}
-
 }  // namespace
 
 bool RankBefore(const FrontierItem& a, const FrontierItem& b) {
@@ -207,6 +195,91 @@ bool ShardFrontier::Compact() {
 
 namespace {
 
+/// std::lower_bound's bucket for `roi` among the bisection candidates
+/// lo + step * (g + 1), g < grid, in O(1) rather than O(log grid): the
+/// first g with candidates[g] >= roi, or grid when there is none. Up to
+/// rounding that is ceil((roi - lo) / step - 1), which is the integer
+/// part of (roi - lo) / step for a positive non-integer quotient; the
+/// estimate is then stepped against the stored candidate doubles, which
+/// are non-decreasing, until it is exactly the first candidate >= roi. A
+/// NaN or non-positive estimate starts at 0, where lower_bound puts a NaN
+/// roi too. The estimate only decides how far the steps walk, so
+/// multiplying by 1 / step instead of dividing cannot change the answer.
+size_t BucketOf(double roi, const std::vector<double>& candidates,
+                double lo, double inv_step) {
+  const size_t grid = candidates.size();
+  const double estimate = (roi - lo) * inv_step;
+  size_t b = 0;
+  if (estimate >= static_cast<double>(grid)) {
+    b = grid;
+  } else if (estimate > 0.0) {
+    b = static_cast<size_t>(static_cast<int64_t>(estimate));
+  }
+  while (b > 0 && candidates[b - 1] >= roi) --b;
+  while (b < grid && candidates[b] < roi) ++b;
+  return b;
+}
+
+/// Bisects the scalar ROI threshold to budget feasibility and returns the
+/// bracket's upper end. Each pass streams once and measures spend at
+/// `dual_grid` candidate thresholds simultaneously (cost histogram +
+/// suffix sums), narrowing the bracket by a factor of grid+1 per pass.
+/// The upper end of the bracket is always measured-feasible.
+double BisectThreshold(RowSource* source, double budget, double max_roi,
+                       const StreamingOptions& options,
+                       int64_t* rows_streamed) {
+  double lo = 0.0;
+  double hi = max_roi;  // spend({roi > max_roi}) == 0 <= budget
+  const int grid = options.dual_grid;
+  std::vector<double> candidates(AsSize(grid));
+  std::vector<double> bucket_cost(AsSize(grid) + 1);
+  std::vector<double> spend(AsSize(grid));
+  for (int pass = 0; pass < options.dual_passes; ++pass) {
+    double step = (hi - lo) / static_cast<double>(grid + 1);
+    if (!(step > 0.0)) break;  // bracket below FP resolution
+    for (int g = 0; g < grid; ++g) {
+      candidates[AsSize(g)] = lo + step * static_cast<double>(g + 1);
+    }
+    const double inv_step = 1.0 / step;
+    std::fill(bucket_cost.begin(), bucket_cost.end(), 0.0);
+    source->Reset();
+    RowChunk chunk;
+    while (source->Next(&chunk)) {
+      const std::vector<double>& roi = chunk.roi[0];
+      const std::vector<double>& cost = chunk.cost[0];
+      *rows_streamed += chunk.size();
+      for (size_t i = 0; i < roi.size(); ++i) {
+        // Bucket b holds the rows with candidates[b - 1] < roi <=
+        // candidates[b]; bucket 0, at or below every candidate, feeds no
+        // spend and is not summed.
+        const size_t b = BucketOf(roi[i], candidates, lo, inv_step);
+        if (b > 0) bucket_cost[b] += cost[i];
+      }
+    }
+    // spend(candidates[g]) = total cost of rows with roi > candidate =
+    // suffix sum of buckets above g.
+    double suffix = 0.0;
+    for (int g = grid - 1; g >= 0; --g) {
+      suffix += bucket_cost[AsSize(g) + 1];
+      spend[AsSize(g)] = suffix;
+    }
+    int feasible = -1;
+    for (int g = 0; g < grid; ++g) {
+      if (spend[AsSize(g)] <= budget) {
+        feasible = g;
+        break;
+      }
+    }
+    if (feasible < 0) {
+      lo = candidates[AsSize(grid - 1)];
+    } else {
+      hi = candidates[AsSize(feasible)];
+      if (feasible > 0) lo = candidates[AsSize(feasible - 1)];
+    }
+  }
+  return hi;
+}
+
 StatusOr<StreamingResult> DualStream(RowSource* source, double budget,
                                      const StreamingOptions& options,
                                      MemoryAccountant* accountant) {
@@ -237,64 +310,17 @@ StatusOr<StreamingResult> DualStream(RowSource* source, double budget,
   }
   if (n == 0) return result;
 
-  // Bisect the scalar ROI threshold to budget feasibility. Each pass
-  // streams once and measures spend at `dual_grid` candidate thresholds
-  // simultaneously (cost histogram + suffix sums), narrowing the bracket
-  // by a factor of grid+1 per pass. The upper end of the bracket is
-  // always measured-feasible.
   double theta = 0.0;
   if (spend_at_zero > budget) {
     obs::ScopedSpan bisect_span("alloc.dual.bisect");
-    double lo = 0.0;
-    double hi = max_roi;  // spend({roi > max_roi}) == 0 <= budget
-    const int grid = options.dual_grid;
-    std::vector<double> candidates(AsSize(grid));
-    std::vector<double> bucket_cost(AsSize(grid) + 1);
-    std::vector<double> spend(AsSize(grid));
-    for (int pass = 0; pass < options.dual_passes; ++pass) {
-      double step = (hi - lo) / static_cast<double>(grid + 1);
-      if (!(step > 0.0)) break;  // bracket below FP resolution
-      for (int g = 0; g < grid; ++g) {
-        candidates[AsSize(g)] = lo + step * static_cast<double>(g + 1);
-      }
-      std::fill(bucket_cost.begin(), bucket_cost.end(), 0.0);
-      source->Reset();
-      RowChunk chunk;
-      while (source->Next(&chunk)) {
-        const int64_t size = chunk.size();
-        result.rows_streamed += size;
-        for (int64_t i = 0; i < size; ++i) {
-          double roi = chunk.roi[0][AsSize64(i)];
-          // Number of candidates strictly below roi = the highest g with
-          // candidates[g] < roi, plus one; bucket grid catches the rest.
-          size_t b = static_cast<size_t>(
-              std::lower_bound(candidates.begin(), candidates.end(), roi) -
-              candidates.begin());
-          bucket_cost[b] += chunk.cost[0][AsSize64(i)];
-        }
-      }
-      // spend(candidates[g]) = total cost of rows with roi > candidate =
-      // suffix sum of buckets above g.
-      double suffix = 0.0;
-      for (int g = grid - 1; g >= 0; --g) {
-        suffix += bucket_cost[AsSize(g) + 1];
-        spend[AsSize(g)] = suffix;
-      }
-      int feasible = -1;
-      for (int g = 0; g < grid; ++g) {
-        if (spend[AsSize(g)] <= budget) {
-          feasible = g;
-          break;
-        }
-      }
-      if (feasible < 0) {
-        lo = candidates[AsSize(grid - 1)];
-      } else {
-        hi = candidates[AsSize(feasible)];
-        if (feasible > 0) lo = candidates[AsSize(feasible - 1)];
-      }
-    }
-    theta = hi;
+    // The candidates, bucket sums and spends are working memory too:
+    // uncharged, a wide enough grid alone would outgrow the cap.
+    const size_t grid_bytes =
+        (3 * AsSize(options.dual_grid) + 1) * sizeof(double);
+    if (!accountant->TryCharge(grid_bytes)) return CapExceeded(*accountant);
+    theta = BisectThreshold(source, budget, max_roi, options,
+                            &result.rows_streamed);
+    accountant->Release(grid_bytes);
   }
   result.dual_threshold = theta;
 
@@ -422,14 +448,27 @@ StatusOr<GreedyScan> ShardedGreedyScan(RowSource* source, double budget,
   scan.arm_spent.assign(AsSize(num_arms), 0.0);
   source->Reset();
   RowChunk chunk;
-  // Adds the best pair of the chunk's i-th user. The pair index
-  // (arm - 1) * n + user makes RankBefore's (roi desc, index asc) order
-  // the campaign's (roi desc, arm asc, user asc) total order.
+  // The chunk's arm columns, taken once per chunk.
+  std::vector<const double*> roi_cols(AsSize(num_arms));
+  std::vector<const double*> cost_cols(AsSize(num_arms));
+  // Adds the best pair of the chunk's i-th user: the collapse lemma's
+  // reduction to their highest-roi arm, ties to the smaller arm — exactly
+  // the first of the user's pairs under (roi desc, arm asc, user asc).
+  // The pair index (arm - 1) * n + user makes RankBefore's (roi desc,
+  // index asc) order the campaign's total order.
   const auto add_best_pair = [&](ShardFrontier* frontier, size_t i) {
-    const size_t a = BestArmSlot(chunk, i);
-    return frontier->Add(static_cast<int64_t>(a) * n + chunk.base_user +
+    size_t best = 0;
+    double best_roi = roi_cols[0][i];
+    for (size_t a = 1; a < roi_cols.size(); ++a) {
+      // Strict > keeps the smaller arm on ties.
+      if (roi_cols[a][i] > best_roi) {
+        best = a;
+        best_roi = roi_cols[a][i];
+      }
+    }
+    return frontier->Add(static_cast<int64_t>(best) * n + chunk.base_user +
                              static_cast<int64_t>(i),
-                         chunk.roi[a][i], chunk.cost[a][i]);
+                         best_roi, cost_cols[best][i]);
   };
   bool over_cap = false;
   {
@@ -441,6 +480,10 @@ StatusOr<GreedyScan> ShardedGreedyScan(RowSource* source, double budget,
       if (!chunk_status.ok()) return chunk_status;
       const int64_t size = chunk.size();
       scan.rows_streamed += size;
+      for (size_t a = 0; a < roi_cols.size(); ++a) {
+        roi_cols[a] = chunk.roi[a].data();
+        cost_cols[a] = chunk.cost[a].data();
+      }
       if (parallel_shards && num_shards > 1) {
         // Shards are disjoint (user -> user % num_shards), so each task
         // touches only its own frontier; the accountant is atomic. Every
@@ -459,9 +502,11 @@ StatusOr<GreedyScan> ShardedGreedyScan(RowSource* source, double budget,
         });
         over_cap = chunk_over_cap.load(std::memory_order_relaxed);
       } else {
+        // Users go round the shards in index order.
+        size_t s = AsSize64(chunk.base_user % num_shards);
         for (int64_t i = 0; i < size && !over_cap; ++i) {
-          const int s = static_cast<int>((chunk.base_user + i) % num_shards);
-          over_cap = !add_best_pair(shards[AsSize(s)].get(), AsSize64(i));
+          over_cap = !add_best_pair(shards[s].get(), AsSize64(i));
+          if (++s == shards.size()) s = 0;
         }
       }
     }

@@ -59,7 +59,8 @@
 /// Memory model. One `MemoryAccountant` cap covers the chunk buffer, the
 /// shard objects themselves, every frontier's kept and pending capacity
 /// (including the transient merge double-buffer), the merged candidate
-/// list and the selection vector. Working memory is
+/// list, the selection vector and, in dual mode, the bisection's
+/// candidate grid. Working memory is
 /// O(shards + shards x budget-feasible set + chunk), never O(population).
 ///
 /// The dual mode replaces the global sort with a single scalar ROI
@@ -170,8 +171,9 @@ struct StreamingOptions {
   /// independent of the shard count (it only bounds per-shard state).
   int num_shards = 1;
   /// Hard cap on accounted working memory: chunk buffer + shard objects
-  /// + frontiers + merge scratch + the selection vector. Exceeding it
-  /// fails the allocation with kFailedPrecondition rather than allocating.
+  /// + frontiers + merge scratch + the selection vector + the dual's
+  /// candidate grid. Exceeding it fails the allocation with
+  /// kFailedPrecondition rather than allocating.
   size_t memory_cap_bytes = size_t{256} << 20;
   /// Accumulate shard frontiers concurrently on the global thread pool.
   /// Greedy mode only. Results are bitwise identical either way: each

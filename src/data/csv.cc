@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/math_util.h"
@@ -103,8 +104,14 @@ StatusOr<RctDataset> ReadDatasetCsv(const std::string& path) {
     for (int c : feature_cols) {
       features.push_back(std::atof(fields[AsSize(c)].c_str()));
     }
+    const int treatment = std::atoi(fields[AsSize(col_treatment)].c_str());
+    if (treatment != 0 && treatment != 1) {
+      return Status::InvalidArgument(
+          "treatment must be 0 or 1, got " + std::to_string(treatment) +
+          " at line " + std::to_string(line_number));
+    }
     dataset.x.AppendRow(features);
-    dataset.treatment.push_back(std::atoi(fields[AsSize(col_treatment)].c_str()));
+    dataset.treatment.push_back(treatment);
     dataset.y_revenue.push_back(std::atof(fields[AsSize(col_yr)].c_str()));
     dataset.y_cost.push_back(std::atof(fields[AsSize(col_yc)].c_str()));
     if (col_tau_r >= 0) {

@@ -1,5 +1,6 @@
 #include "pipeline/pipeline.h"
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <utility>
@@ -61,47 +62,48 @@ StatusOr<Pipeline> Pipeline::Train(const std::string& scorer_name,
   return pipeline;
 }
 
-StatusOr<std::vector<double>> Pipeline::Score(const Matrix& x) const {
+Status Pipeline::CheckFeatures(const Matrix& x) const {
   if (x.cols() != feature_dim_) {
     return Status::InvalidArgument(
         "feature dimension mismatch: pipeline expects " +
         std::to_string(feature_dim_) + " features but input has " +
         std::to_string(x.cols()));
   }
+  // A NaN would pass through ReLU as 0 and score as a confident row.
+  for (int i = 0; i < x.rows(); ++i) {
+    const double* row = x.RowPtr(i);
+    for (int c = 0; c < x.cols(); ++c) {
+      if (!std::isfinite(row[c])) {
+        return Status::InvalidArgument(
+            "non-finite feature at row " + std::to_string(i) + " column " +
+            std::to_string(c));
+      }
+    }
+  }
+  return Status::Ok();
+}
+
+StatusOr<std::vector<double>> Pipeline::Score(const Matrix& x) const {
+  if (Status status = CheckFeatures(x); !status.ok()) return status;
   return scorer_->PredictRoi(x);
 }
 
 StatusOr<core::McDropoutStats> Pipeline::ScoreMc(const Matrix& x,
                                                  int passes,
                                                  uint64_t seed) const {
-  if (x.cols() != feature_dim_) {
-    return Status::InvalidArgument(
-        "feature dimension mismatch: pipeline expects " +
-        std::to_string(feature_dim_) + " features but input has " +
-        std::to_string(x.cols()));
-  }
+  if (Status status = CheckFeatures(x); !status.ok()) return status;
   return scorer_->ScoreMc(x, passes, seed);
 }
 
 StatusOr<std::vector<metrics::Interval>> Pipeline::ScoreIntervals(
     const Matrix& x) const {
-  if (x.cols() != feature_dim_) {
-    return Status::InvalidArgument(
-        "feature dimension mismatch: pipeline expects " +
-        std::to_string(feature_dim_) + " features but input has " +
-        std::to_string(x.cols()));
-  }
+  if (Status status = CheckFeatures(x); !status.ok()) return status;
   return scorer_->ScoreIntervals(x);
 }
 
 StatusOr<RoiScorer::ConformalInputs> Pipeline::ConformalScoreInputs(
     const Matrix& x) const {
-  if (x.cols() != feature_dim_) {
-    return Status::InvalidArgument(
-        "feature dimension mismatch: pipeline expects " +
-        std::to_string(feature_dim_) + " features but input has " +
-        std::to_string(x.cols()));
-  }
+  if (Status status = CheckFeatures(x); !status.ok()) return status;
   return scorer_->ConformalScoreInputs(x);
 }
 

@@ -46,8 +46,9 @@ class Pipeline {
                                   const RctDataset* calibration,
                                   Provenance provenance);
 
-  /// Point ROI scores. Rejects a feature-dimension mismatch with a
-  /// descriptive error instead of crashing.
+  /// Point ROI scores. `Score`, `ScoreMc`, `ScoreIntervals` and
+  /// `ConformalScoreInputs` reject a feature-dimension mismatch or a
+  /// non-finite feature with kInvalidArgument instead of scoring it.
   StatusOr<std::vector<double>> Score(const Matrix& x) const;
 
   /// MC-dropout uncertainty via the scorer (when supported).
@@ -114,6 +115,10 @@ class Pipeline {
 
  private:
   Pipeline() = default;
+
+  /// The input check every scoring entry point runs first: `x` has
+  /// `feature_dim_` columns and every feature is finite.
+  Status CheckFeatures(const Matrix& x) const;
 
   std::string scorer_name_;
   int feature_dim_ = -1;

@@ -1,7 +1,9 @@
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -208,6 +210,157 @@ TEST(AllocFuzzEdge, ShardCountCannotBypassTheCap) {
       StreamingAllocate(&source, 5.0, options);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
+}
+
+TEST(AllocFuzzEdge, DualGridCannotBypassTheCap) {
+  // A 2^22-candidate grid is three 32 MiB arrays; they are working memory
+  // for as long as the bisection runs, so a 10-row population cannot
+  // carry them past a 1 MiB cap.
+  SyntheticRowSource source(/*n=*/10, /*seed=*/7, /*chunk_rows=*/16);
+  StreamingOptions options;
+  options.mode = AllocMode::kDual;
+  options.dual_grid = 1 << 22;
+  options.memory_cap_bytes = size_t{1} << 20;
+  StatusOr<StreamingResult> result =
+      StreamingAllocate(&source, 5.0, options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
+
+  options.dual_grid = StreamingOptions().dual_grid;
+  result = StreamingAllocate(&source, 5.0, options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_GT(result.value().dual_threshold, 0.0);  // the bisection ran
+}
+
+/// The dual's threshold recomputed in memory: the same stats pass and
+/// bisection as the streaming dual, but bucketing every row with
+/// std::lower_bound over the candidates. Sets `*repeated` when some pass
+/// had two equal candidates.
+double LowerBoundDualThreshold(const std::vector<double>& roi,
+                               const std::vector<double>& cost,
+                               double budget, int passes, int grid,
+                               bool* repeated) {
+  double spend_at_zero = 0.0;
+  double max_roi = 0.0;
+  for (size_t i = 0; i < roi.size(); ++i) {
+    if (roi[i] > 0.0) spend_at_zero += cost[i];
+    max_roi = std::max(max_roi, roi[i]);
+  }
+  if (roi.empty() || !(spend_at_zero > budget)) return 0.0;
+  double lo = 0.0;
+  double hi = max_roi;
+  std::vector<double> candidates(AsSize(grid));
+  std::vector<double> bucket_cost(AsSize(grid) + 1);
+  for (int pass = 0; pass < passes; ++pass) {
+    double step = (hi - lo) / static_cast<double>(grid + 1);
+    if (!(step > 0.0)) break;
+    for (int g = 0; g < grid; ++g) {
+      candidates[AsSize(g)] = lo + step * static_cast<double>(g + 1);
+    }
+    if (std::adjacent_find(candidates.begin(), candidates.end()) !=
+        candidates.end()) {
+      *repeated = true;
+    }
+    std::fill(bucket_cost.begin(), bucket_cost.end(), 0.0);
+    for (size_t i = 0; i < roi.size(); ++i) {
+      const auto it =
+          std::lower_bound(candidates.begin(), candidates.end(), roi[i]);
+      bucket_cost[static_cast<size_t>(it - candidates.begin())] += cost[i];
+    }
+    double suffix = 0.0;
+    int feasible = -1;
+    std::vector<double> spend(AsSize(grid));
+    for (int g = grid - 1; g >= 0; --g) {
+      suffix += bucket_cost[AsSize(g) + 1];
+      spend[AsSize(g)] = suffix;
+    }
+    for (int g = 0; g < grid && feasible < 0; ++g) {
+      if (spend[AsSize(g)] <= budget) feasible = g;
+    }
+    if (feasible < 0) {
+      lo = candidates[AsSize(grid - 1)];
+    } else {
+      hi = candidates[AsSize(feasible)];
+      if (feasible > 0) lo = candidates[AsSize(feasible - 1)];
+    }
+  }
+  return hi;
+}
+
+TEST(AllocFuzzEdge, DualBisectionMatchesLowerBoundReference) {
+  // The threshold is the only value the bucketing feeds: every spend,
+  // selection and gap is a function of it. The inputs sit where an O(1)
+  // bucket estimate could round the wrong way.
+  struct Case {
+    std::string name;
+    std::vector<double> roi;
+    int grid;
+    int passes;
+  };
+  std::vector<Case> cases;
+  Rng rng(20240817);
+  for (int grid : {2, 3, 64}) {
+    // Rows exactly on the first pass's candidates (lo = 0, hi = max roi)
+    // and one ulp either side, plus rows at or below lo and at max roi.
+    const double max_roi = 0.9;
+    const double step = max_roi / static_cast<double>(grid + 1);
+    std::vector<double> on_grid = {max_roi, 0.0, -0.25};
+    for (int g = 0; g < grid; ++g) {
+      const double c = 0.0 + step * static_cast<double>(g + 1);
+      on_grid.push_back(c);
+      on_grid.push_back(std::nextafter(c, -1.0));
+      on_grid.push_back(std::nextafter(c, 2.0));
+    }
+    cases.push_back({"on_grid", on_grid, grid,
+                     StreamingOptions().dual_passes});
+  }
+  // Twelve 65-way passes narrow the bracket to a few ulps, where the
+  // candidates round onto each other; a cluster of rows one ulp apart
+  // holds most of the cost, so the bracket closes inside it.
+  std::vector<double> clustered(20);
+  for (double& r : clustered) r = rng.Uniform(-0.2, 0.95);
+  for (double r = 0.6; clustered.size() < 60; r = std::nextafter(r, 1.0)) {
+    clustered.push_back(r);
+  }
+  cases.push_back({"few_ulp_bracket", clustered, 64, 12});
+  // All-equal roi: the bracket closes on that one value from below.
+  cases.push_back({"all_equal", std::vector<double>(50, 0.5), 64, 12});
+
+  for (const Case& c : cases) {
+    std::vector<double> cost(c.roi.size());
+    double total = 0.0;
+    for (double& x : cost) {
+      x = rng.Uniform(0.0, 2.0);
+      total += x;
+    }
+    bool repeated = false;
+    for (double fraction : {0.05, 0.3, 0.7}) {
+      const double budget = fraction * total;
+      const double want = LowerBoundDualThreshold(c.roi, cost, budget,
+                                                  c.passes, c.grid,
+                                                  &repeated);
+      for (int chunk_rows : {1, 7, 64}) {
+        SCOPED_TRACE(c.name + " grid " + std::to_string(c.grid) +
+                     " budget fraction " + std::to_string(fraction) +
+                     " chunk " + std::to_string(chunk_rows));
+        StreamingOptions options;
+        options.mode = AllocMode::kDual;
+        options.dual_grid = c.grid;
+        options.dual_passes = c.passes;
+        VectorRowSource source(c.roi, cost, chunk_rows);
+        StatusOr<StreamingResult> result =
+            StreamingAllocate(&source, budget, options);
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        EXPECT_EQ(std::bit_cast<uint64_t>(result.value().dual_threshold),
+                  std::bit_cast<uint64_t>(want))
+            << result.value().dual_threshold << " vs " << want;
+      }
+    }
+    // The narrow-bracket cases must really have reached repeated
+    // candidates, or they test nothing the on-grid case does not.
+    EXPECT_EQ(repeated, c.passes > StreamingOptions().dual_passes)
+        << c.name;
+  }
 }
 
 TEST(AllocFuzzEdge, MultiArmSourceIsRejected) {

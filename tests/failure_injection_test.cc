@@ -42,6 +42,18 @@ TEST(CsvFailureTest, RaggedRowRejected) {
   std::remove(path.c_str());
 }
 
+TEST(CsvFailureTest, NonBinaryTreatmentRejected) {
+  std::string path = WriteTempFile(
+      "treatment.csv",
+      "f0,treatment,y_revenue,y_cost\n1.0,1,0.5,0.2\n2.0,2,0.5,0.2\n");
+  StatusOr<RctDataset> result = ReadDatasetCsv(path);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find("line 3"), std::string::npos)
+      << result.status().ToString();
+  std::remove(path.c_str());
+}
+
 TEST(CsvFailureTest, EmptyFileRejected) {
   std::string path = WriteTempFile("empty.csv", "");
   EXPECT_FALSE(ReadDatasetCsv(path).ok());

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -223,6 +224,40 @@ TEST(PipelineGuards, ScoreRejectsWrongFeatureDimension) {
   EXPECT_NE(scored.status().message().find("feature dimension mismatch"),
             std::string::npos)
       << scored.status().ToString();
+}
+
+TEST(PipelineGuards, ScoreRejectsNonFiniteFeatures) {
+  RctDataset train = Gen(200, 51);
+  RctDataset calib = Gen(100, 52);
+  RctDataset test = Gen(6, 53);
+  pipeline::Hyperparams hp = SmallHp();
+  StatusOr<pipeline::Pipeline> trained =
+      pipeline::Pipeline::Train("rDRP", hp, train, &calib, {});
+  ASSERT_TRUE(trained.ok()) << trained.status().ToString();
+  const pipeline::Pipeline& pipeline = trained.value();
+  ASSERT_TRUE(pipeline.Score(test.x).ok());
+
+  const double bad_values[] = {std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity(),
+                               -std::numeric_limits<double>::infinity()};
+  for (double bad : bad_values) {
+    SCOPED_TRACE(bad);
+    Matrix x = test.x;
+    x(4, 1) = bad;
+    x(5, 0) = bad;  // a later bad row: the first one is named
+    const std::vector<Status> statuses = {
+        pipeline.Score(x).status(),
+        pipeline.ScoreMc(x, hp.mc_passes, 7).status(),
+        pipeline.ScoreIntervals(x).status(),
+        pipeline.ConformalScoreInputs(x).status()};
+    for (const Status& status : statuses) {
+      ASSERT_FALSE(status.ok());
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(status.message().find("non-finite feature at row 4 column 1"),
+                std::string::npos)
+          << status.ToString();
+    }
+  }
 }
 
 TEST(PipelineGuards, LoadRejectsVersionBumpAndGarbage) {
