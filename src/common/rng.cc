@@ -28,22 +28,6 @@ Rng Rng::Split() {
   return Rng(child_seed, child_stream);
 }
 
-uint32_t Rng::NextU32() {
-  uint64_t old = state_;
-  state_ = old * 6364136223846793005ULL + inc_;
-  uint32_t xorshifted = static_cast<uint32_t>(((old >> 18) ^ old) >> 27);
-  uint32_t rot = static_cast<uint32_t>(old >> 59);
-  return (xorshifted >> rot) | (xorshifted << ((32u - rot) & 31u));
-}
-
-double Rng::Uniform() {
-  // 53 random bits -> double in [0, 1).
-  uint64_t hi = NextU32();
-  uint64_t lo = NextU32();
-  uint64_t bits = ((hi << 32) | lo) >> 11;
-  return static_cast<double>(bits) * (1.0 / 9007199254740992.0);
-}
-
 double Rng::Uniform(double lo, double hi) {
   ROICL_DCHECK(hi >= lo);
   return lo + (hi - lo) * Uniform();
@@ -83,11 +67,6 @@ double Rng::Normal() {
 double Rng::Normal(double mean, double stddev) {
   ROICL_DCHECK(stddev >= 0.0);
   return mean + stddev * Normal();
-}
-
-bool Rng::Bernoulli(double p) {
-  p = std::clamp(p, 0.0, 1.0);
-  return Uniform() < p;
 }
 
 double Rng::Exponential(double rate) {

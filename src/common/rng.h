@@ -1,6 +1,7 @@
 #ifndef ROICL_COMMON_RNG_H_
 #define ROICL_COMMON_RNG_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -40,11 +41,25 @@ class Rng {
   /// Derives an independent child generator; deterministic in call order.
   Rng Split();
 
-  /// Raw 32 uniform bits.
-  uint32_t NextU32();
+  /// Raw 32 uniform bits. This and the draws built directly on it
+  /// (Uniform, Bernoulli) are defined inline: MC dropout makes one
+  /// Bernoulli draw per hidden unit, row and pass.
+  uint32_t NextU32() {
+    uint64_t old = state_;
+    state_ = old * 6364136223846793005ULL + inc_;
+    uint32_t xorshifted = static_cast<uint32_t>(((old >> 18) ^ old) >> 27);
+    uint32_t rot = static_cast<uint32_t>(old >> 59);
+    return (xorshifted >> rot) | (xorshifted << ((32u - rot) & 31u));
+  }
 
   /// Uniform double in [0, 1).
-  double Uniform();
+  double Uniform() {
+    // 53 random bits -> double in [0, 1).
+    uint64_t hi = NextU32();
+    uint64_t lo = NextU32();
+    uint64_t bits = ((hi << 32) | lo) >> 11;
+    return static_cast<double>(bits) * (1.0 / 9007199254740992.0);
+  }
 
   /// Uniform double in [lo, hi).
   double Uniform(double lo, double hi);
@@ -59,7 +74,7 @@ class Rng {
   double Normal(double mean, double stddev);
 
   /// Bernoulli draw; p is clamped to [0, 1].
-  bool Bernoulli(double p);
+  bool Bernoulli(double p) { return Uniform() < std::clamp(p, 0.0, 1.0); }
 
   /// Exponential with the given rate (> 0).
   double Exponential(double rate);

@@ -1,5 +1,6 @@
 #include "core/mc_dropout.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/macros.h"
@@ -10,7 +11,7 @@
 
 namespace roicl::core {
 
-McDropoutStats RunMcDropout(nn::Network* net, const Matrix& x, int passes,
+McDropoutStats RunMcDropout(nn::Mlp* net, const Matrix& x, int passes,
                             uint64_t seed, bool sigmoid_output,
                             const nn::BatchOptions& opts) {
   ROICL_CHECK(net != nullptr);
@@ -34,14 +35,14 @@ McDropoutStats RunMcDropout(nn::Network* net, const Matrix& x, int passes,
                                    int row_end) {
     uint64_t block_start_us = obs::MonotonicMicros();
     int rows = row_end - row_begin;
-    std::vector<int> row_ids(AsSize(rows));
-    for (int r = 0; r < rows; ++r) row_ids[AsSize(r)] = row_begin + r;
-    Matrix x_block = x.SelectRows(row_ids);
+    Matrix x_block(rows, x.cols());
+    std::copy_n(x.RowPtr(row_begin), x_block.size(), x_block.data().data());
 
     std::vector<double> sum(AsSize(rows), 0.0);
     std::vector<double> sum_sq(AsSize(rows), 0.0);
     nn::RowRngs rngs;
     rngs.reserve(AsSize(rows));
+    nn::Mlp::Workspace workspace;
     for (int pass = 0; pass < passes; ++pass) {
       rngs.clear();
       uint64_t pass_base =
@@ -50,7 +51,8 @@ McDropoutStats RunMcDropout(nn::Network* net, const Matrix& x, int passes,
         rngs.push_back(
             MakeCounterRng(seed, pass_base + static_cast<uint64_t>(r)));
       }
-      Matrix out = net->ForwardRows(x_block, nn::Mode::kMcSample, &rngs);
+      const Matrix& out = net->ForwardRowsInto(x_block, nn::Mode::kMcSample,
+                                               &rngs, &workspace);
       ROICL_CHECK_MSG(out.cols() == 1,
                       "MC dropout expects a single-output network");
       for (int r = 0; r < rows; ++r) {

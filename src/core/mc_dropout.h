@@ -5,7 +5,7 @@
 
 #include "core/direct_model.h"
 #include "nn/batch_forward.h"
-#include "nn/network.h"
+#include "nn/mlp.h"
 
 namespace roicl::core {
 
@@ -17,7 +17,8 @@ namespace roicl::core {
 ///
 /// Batched parallel engine: samples are split into row blocks of
 /// `opts.batch_size`; blocks fan out across the ThreadPool per
-/// `opts.num_threads`; within a block every pass is one batched forward.
+/// `opts.num_threads`; within a block every pass is one batched forward
+/// through one workspace, so passes after the first allocate nothing.
 /// The dropout draws for (sample i, pass p) come from the counter-based
 /// stream MakeCounterRng(seed, p * n + i), and each block owns its rows'
 /// accumulators with passes applied in ascending order — so the output is
@@ -26,7 +27,7 @@ namespace roicl::core {
 /// `sigmoid_output` converts the network logit to ROI space before the
 /// statistics, matching the paper where r_hat(x) is the std of roi_hat.
 /// Requires a single-column network output.
-McDropoutStats RunMcDropout(nn::Network* net, const Matrix& x, int passes,
+McDropoutStats RunMcDropout(nn::Mlp* net, const Matrix& x, int passes,
                             uint64_t seed, bool sigmoid_output,
                             const nn::BatchOptions& opts = {});
 

@@ -1,9 +1,12 @@
 #include "data/csv.h"
 
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/math_util.h"
@@ -19,6 +22,40 @@ std::vector<std::string> SplitLine(const std::string& line) {
   // Trailing empty field after a final comma.
   if (!line.empty() && line.back() == ',') fields.push_back("");
   return fields;
+}
+
+// Parses the whole of `field` as a finite double.
+bool ParseFinite(const std::string& field, double* out) {
+  char* end = nullptr;
+  const double value = std::strtod(field.c_str(), &end);
+  if (end == field.c_str() || *end != '\0' || !std::isfinite(value)) {
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
+// Parses the whole of `field` as a base-10 int.
+bool ParseInt(const std::string& field, int* out) {
+  char* end = nullptr;
+  const long value = std::strtol(field.c_str(), &end, 10);
+  if (end == field.c_str() || *end != '\0' ||
+      value < std::numeric_limits<int>::min() ||
+      value > std::numeric_limits<int>::max()) {
+    return false;
+  }
+  *out = static_cast<int>(value);
+  return true;
+}
+
+Status FieldError(int line_number, int col,
+                  const std::vector<std::string>& header,
+                  const std::vector<std::string>& fields,
+                  const std::string& expected) {
+  return Status::InvalidArgument(
+      "line " + std::to_string(line_number) + ", column " +
+      std::to_string(col + 1) + " (" + header[AsSize(col)] + "): expected " +
+      expected + ", got '" + fields[AsSize(col)] + "'");
 }
 
 }  // namespace
@@ -99,30 +136,44 @@ StatusOr<RctDataset> ReadDatasetCsv(const std::string& path) {
       return Status::InvalidArgument("field count mismatch at line " +
                                      std::to_string(line_number));
     }
-    std::vector<double> features;
-    features.reserve(feature_cols.size());
-    for (int c : feature_cols) {
-      features.push_back(std::atof(fields[AsSize(c)].c_str()));
+    // Every field is parsed whole: a feature, outcome or tau must be a
+    // finite number, treatment the integer 0 or 1, segment an integer.
+    std::vector<double> features(feature_cols.size());
+    for (size_t f = 0; f < feature_cols.size(); ++f) {
+      if (!ParseFinite(fields[AsSize(feature_cols[f])], &features[f])) {
+        return FieldError(line_number, feature_cols[f], header, fields,
+                          "a finite number");
+      }
     }
-    const int treatment = std::atoi(fields[AsSize(col_treatment)].c_str());
-    if (treatment != 0 && treatment != 1) {
-      return Status::InvalidArgument(
-          "treatment must be 0 or 1, got " + std::to_string(treatment) +
-          " at line " + std::to_string(line_number));
+    int treatment = 0;
+    if (!ParseInt(fields[AsSize(col_treatment)], &treatment) ||
+        (treatment != 0 && treatment != 1)) {
+      return FieldError(line_number, col_treatment, header, fields,
+                        "treatment 0 or 1");
+    }
+    double y_revenue = 0.0, y_cost = 0.0, tau_r = 0.0, tau_c = 0.0;
+    for (auto [col, out] : {std::pair{col_yr, &y_revenue},
+                            std::pair{col_yc, &y_cost},
+                            std::pair{col_tau_r, &tau_r},
+                            std::pair{col_tau_c, &tau_c}}) {
+      if (col >= 0 && !ParseFinite(fields[AsSize(col)], out)) {
+        return FieldError(line_number, col, header, fields,
+                          "a finite number");
+      }
+    }
+    int segment = 0;
+    if (col_segment >= 0 &&
+        !ParseInt(fields[AsSize(col_segment)], &segment)) {
+      return FieldError(line_number, col_segment, header, fields,
+                        "an integer segment");
     }
     dataset.x.AppendRow(features);
     dataset.treatment.push_back(treatment);
-    dataset.y_revenue.push_back(std::atof(fields[AsSize(col_yr)].c_str()));
-    dataset.y_cost.push_back(std::atof(fields[AsSize(col_yc)].c_str()));
-    if (col_tau_r >= 0) {
-      dataset.true_tau_r.push_back(std::atof(fields[AsSize(col_tau_r)].c_str()));
-    }
-    if (col_tau_c >= 0) {
-      dataset.true_tau_c.push_back(std::atof(fields[AsSize(col_tau_c)].c_str()));
-    }
-    if (col_segment >= 0) {
-      dataset.segment.push_back(std::atoi(fields[AsSize(col_segment)].c_str()));
-    }
+    dataset.y_revenue.push_back(y_revenue);
+    dataset.y_cost.push_back(y_cost);
+    if (col_tau_r >= 0) dataset.true_tau_r.push_back(tau_r);
+    if (col_tau_c >= 0) dataset.true_tau_c.push_back(tau_c);
+    if (col_segment >= 0) dataset.segment.push_back(segment);
   }
   dataset.Validate();
   return dataset;

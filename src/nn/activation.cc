@@ -8,26 +8,37 @@
 namespace roicl::nn {
 
 Matrix Activation::Forward(const Matrix& input, Mode mode, Rng* /*rng*/) {
-  Matrix out = input;
-  switch (kind_) {
-    case ActivationKind::kRelu:
-      for (double& v : out.data()) v = v > 0.0 ? v : 0.0;
-      break;
-    case ActivationKind::kElu:
-      for (double& v : out.data()) v = v > 0.0 ? v : std::expm1(v);
-      break;
-    case ActivationKind::kSigmoid:
-      for (double& v : out.data()) v = Sigmoid(v);
-      break;
-    case ActivationKind::kTanh:
-      for (double& v : out.data()) v = std::tanh(v);
-      break;
-  }
+  Matrix out;
+  ForwardRowsInto(input, Mode::kInfer, nullptr, &out);
   if (mode == Mode::kTrain) {
     cached_input_ = input;
     cached_output_ = out;
   }
   return out;
+}
+
+void Activation::ForwardRowsInto(const Matrix& input, Mode /*mode*/,
+                                 RowRngs* /*row_rngs*/, Matrix* out) {
+  ShapeOutput(input.rows(), input.cols(), out);
+  const double* in = input.data().data();
+  double* o = out->data().data();
+  const size_t n = input.size();
+  switch (kind_) {
+    case ActivationKind::kRelu:
+      for (size_t i = 0; i < n; ++i) o[i] = in[i] > 0.0 ? in[i] : 0.0;
+      break;
+    case ActivationKind::kElu:
+      for (size_t i = 0; i < n; ++i) {
+        o[i] = in[i] > 0.0 ? in[i] : std::expm1(in[i]);
+      }
+      break;
+    case ActivationKind::kSigmoid:
+      for (size_t i = 0; i < n; ++i) o[i] = Sigmoid(in[i]);
+      break;
+    case ActivationKind::kTanh:
+      for (size_t i = 0; i < n; ++i) o[i] = std::tanh(in[i]);
+      break;
+  }
 }
 
 Matrix Activation::Backward(const Matrix& grad_output) {

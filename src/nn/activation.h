@@ -21,6 +21,9 @@ class Activation : public Layer {
   explicit Activation(ActivationKind kind) : kind_(kind) {}
 
   Matrix Forward(const Matrix& input, Mode mode, Rng* rng) override;
+  void ForwardRowsInto(const Matrix& input, Mode mode, RowRngs* row_rngs,
+                       Matrix* out) override;
+  bool SupportsInPlace() const override { return true; }
   Matrix Backward(const Matrix& grad_output) override;
   std::unique_ptr<Layer> Clone() const override {
     return std::make_unique<Activation>(kind_);

@@ -27,15 +27,23 @@ Dense::Dense(int in_features, int out_features, Init init, Rng* rng) {
 }
 
 Matrix Dense::Forward(const Matrix& input, Mode mode, Rng* /*rng*/) {
-  ROICL_CHECK(input.cols() == weights_.rows());
   if (mode == Mode::kTrain) cached_input_ = input;
-  Matrix out = Matmul(input, weights_);
-  for (int r = 0; r < out.rows(); ++r) {
-    double* row = out.RowPtr(r);
-    const double* b = bias_.RowPtr(0);
-    for (int c = 0; c < out.cols(); ++c) row[c] += b[c];
-  }
+  Matrix out;
+  ForwardRowsInto(input, Mode::kInfer, nullptr, &out);
   return out;
+}
+
+void Dense::ForwardRowsInto(const Matrix& input, Mode /*mode*/,
+                            RowRngs* /*row_rngs*/, Matrix* out) {
+  ROICL_CHECK(input.cols() == weights_.rows());
+  ROICL_CHECK(out != &input);
+  ShapeOutput(input.rows(), weights_.cols(), out);
+  MatmulInto(input, weights_, out);
+  const double* b = bias_.RowPtr(0);
+  for (int r = 0; r < out->rows(); ++r) {
+    double* row = out->RowPtr(r);
+    for (int c = 0; c < out->cols(); ++c) row[c] += b[c];
+  }
 }
 
 Matrix Dense::Backward(const Matrix& grad_output) {

@@ -22,6 +22,9 @@ class Dense : public Layer {
   Dense(int in_features, int out_features, Init init, Rng* rng);
 
   Matrix Forward(const Matrix& input, Mode mode, Rng* rng) override;
+  /// `out` must not alias `input`.
+  void ForwardRowsInto(const Matrix& input, Mode mode, RowRngs* row_rngs,
+                       Matrix* out) override;
   Matrix Backward(const Matrix& grad_output) override;
   std::vector<Matrix*> Params() override { return {&weights_, &bias_}; }
   std::vector<Matrix*> Grads() override {

@@ -15,48 +15,47 @@ Matrix Dropout::Forward(const Matrix& input, Mode mode, Rng* rng) {
     return input;
   }
   ROICL_CHECK_MSG(rng != nullptr, "stochastic dropout needs an Rng");
-  double keep = 1.0 - rate_;
-  double scale = 1.0 / keep;
-  Matrix out = input;
-  std::vector<double>& o = out.data();
+  Matrix out(input.rows(), input.cols());
+  // Only the training path caches the mask (Backward needs it). The
+  // kMcSample path stays state-free so concurrent MC forward passes can
+  // share one network.
+  double* mask = nullptr;
   if (mode == Mode::kTrain) {
-    // Only the training path caches the mask (Backward needs it). The
-    // kMcSample path stays state-free so concurrent MC forward passes can
-    // share one network.
     mask_ = Matrix(input.rows(), input.cols());
-    std::vector<double>& m = mask_.data();
-    for (size_t i = 0; i < o.size(); ++i) {
-      double keep_scale = rng->Bernoulli(keep) ? scale : 0.0;
-      m[i] = keep_scale;
-      o[i] *= keep_scale;
-    }
-  } else {  // kMcSample
-    for (size_t i = 0; i < o.size(); ++i) {
-      o[i] *= rng->Bernoulli(keep) ? scale : 0.0;
-    }
+    mask = mask_.data().data();
   }
+  DropInto(input.data().data(), input.size(), rng, out.data().data(), mask);
   return out;
 }
 
-Matrix Dropout::ForwardRows(const Matrix& input, Mode mode,
-                            RowRngs* row_rngs) {
-  if (mode == Mode::kInfer || rate_ == 0.0) return input;
+void Dropout::ForwardRowsInto(const Matrix& input, Mode mode,
+                              RowRngs* row_rngs, Matrix* out) {
+  if (mode == Mode::kInfer || rate_ == 0.0) {
+    if (out != &input) *out = input;
+    return;
+  }
   ROICL_CHECK_MSG(mode != Mode::kTrain,
-                  "ForwardRows is an inference-only path (no mask cache)");
+                  "ForwardRowsInto is an inference-only path (no mask cache)");
   ROICL_CHECK_MSG(row_rngs != nullptr &&
                       static_cast<int>(row_rngs->size()) == input.rows(),
-                  "ForwardRows needs one Rng per input row");
-  double keep = 1.0 - rate_;
-  double scale = 1.0 / keep;
-  Matrix out = input;
-  for (int r = 0; r < out.rows(); ++r) {
-    Rng& rng = (*row_rngs)[AsSize(r)];
-    double* row = out.RowPtr(r);
-    for (int c = 0; c < out.cols(); ++c) {
-      row[c] *= rng.Bernoulli(keep) ? scale : 0.0;
-    }
+                  "ForwardRowsInto needs one Rng per input row");
+  ShapeOutput(input.rows(), input.cols(), out);
+  const size_t cols = AsSize(input.cols());
+  for (int r = 0; r < input.rows(); ++r) {
+    DropInto(input.RowPtr(r), cols, &(*row_rngs)[AsSize(r)], out->RowPtr(r),
+             nullptr);
   }
-  return out;
+}
+
+void Dropout::DropInto(const double* in, size_t count, Rng* rng, double* out,
+                       double* mask) const {
+  const double keep = 1.0 - rate_;
+  const double scale = 1.0 / keep;
+  for (size_t i = 0; i < count; ++i) {
+    const double keep_scale = rng->Bernoulli(keep) ? scale : 0.0;
+    if (mask != nullptr) mask[i] = keep_scale;
+    out[i] = in[i] * keep_scale;
+  }
 }
 
 Matrix Dropout::Backward(const Matrix& grad_output) {

@@ -25,8 +25,9 @@ class Dropout : public Layer {
   /// Per-row-stream variant: the mask for row r is drawn from
   /// (*row_rngs)[r] alone, so the output for a sample is independent of
   /// the rows batched with it (kMcSample reproducibility contract).
-  Matrix ForwardRows(const Matrix& input, Mode mode,
-                     RowRngs* row_rngs) override;
+  void ForwardRowsInto(const Matrix& input, Mode mode, RowRngs* row_rngs,
+                       Matrix* out) override;
+  bool SupportsInPlace() const override { return true; }
 
   Matrix Backward(const Matrix& grad_output) override;
   std::unique_ptr<Layer> Clone() const override {
@@ -36,6 +37,12 @@ class Dropout : public Layer {
   double rate() const { return rate_; }
 
  private:
+  /// out[i] = in[i] * (keep draw ? 1 / (1 - rate) : 0) for `count`
+  /// elements, drawing from `rng` in element order; records each factor in
+  /// `mask` when it is non-null. `out` may equal `in`.
+  void DropInto(const double* in, size_t count, Rng* rng, double* out,
+                double* mask) const;
+
   double rate_;
   Matrix mask_;  // keep/scale mask cached in kTrain for the backward pass
 };

@@ -53,16 +53,30 @@ Matrix Mlp::Forward(const Matrix& input, Mode mode, Rng* rng) {
   return activation;
 }
 
-Matrix Mlp::ForwardRows(const Matrix& input, Mode mode, RowRngs* row_rngs) {
+const Matrix& Mlp::ForwardRowsInto(const Matrix& input, Mode mode,
+                                    RowRngs* row_rngs, Workspace* workspace) {
   ROICL_CHECK(!layers_.empty());
+  ROICL_CHECK(workspace != nullptr);
+  ROICL_CHECK_MSG(mode != Mode::kTrain,
+                  "ForwardRowsInto is an inference-only path (no caches)");
   ROICL_DCHECK(row_rngs == nullptr ||
                static_cast<int>(row_rngs->size()) == input.rows());
-  Matrix activation = input;
-  for (auto& layer : layers_) {
-    activation = layer->ForwardRows(activation, mode, row_rngs);
-    ROICL_DCHECK(activation.rows() == input.rows());
+  workspace->outputs.resize(layers_.size());
+  // The caller's input is never written: the first layer always gets its
+  // own buffer, and later elementwise layers overwrite the buffer they
+  // read.
+  Matrix* activation = nullptr;
+  for (size_t i = 0; i < layers_.size(); ++i) {
+    Layer& layer = *layers_[i];
+    Matrix* out = activation != nullptr && layer.SupportsInPlace()
+                      ? activation
+                      : &workspace->outputs[i];
+    layer.ForwardRowsInto(activation != nullptr ? *activation : input, mode,
+                          row_rngs, out);
+    ROICL_DCHECK(out->rows() == input.rows());
+    activation = out;
   }
-  return activation;
+  return *activation;
 }
 
 Matrix Mlp::Backward(const Matrix& grad_output) {

@@ -38,11 +38,22 @@ class Mlp : public Network {
   /// caller's responsibility (the Trainer handles this).
   Matrix Forward(const Matrix& input, Mode mode, Rng* rng) override;
 
-  /// Runs the stack with per-row RNG streams (layer-wise ForwardRows);
-  /// each dropout layer continues row r's stream where the previous one
-  /// left off.
-  Matrix ForwardRows(const Matrix& input, Mode mode,
-                     RowRngs* row_rngs) override;
+  /// Activation buffers for ForwardRowsInto, owned by the caller: one per
+  /// layer that cannot run in place. Each buffer only ever receives its
+  /// layer's output shape, so reusing a workspace across same-shaped
+  /// calls (the passes over one MC-dropout block) allocates nothing after
+  /// the first. One workspace serves one call at a time.
+  struct Workspace {
+    std::vector<Matrix> outputs;
+  };
+
+  /// Runs the stack in an inference mode with per-row RNG streams
+  /// (layer-wise ForwardRowsInto, elementwise layers in place); each
+  /// dropout layer continues row r's stream where the previous one left
+  /// off. Returns the output, which lives in `workspace` until its next
+  /// use.
+  const Matrix& ForwardRowsInto(const Matrix& input, Mode mode,
+                                RowRngs* row_rngs, Workspace* workspace);
 
   /// Backpropagates dLoss/dOutput; returns dLoss/dInput.
   Matrix Backward(const Matrix& grad_output) override;

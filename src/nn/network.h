@@ -20,20 +20,6 @@ class Network {
 
   virtual Matrix Forward(const Matrix& input, Mode mode, Rng* rng) = 0;
 
-  /// Batched forward with one independent RNG stream per input row (see
-  /// RowRngs in nn/layer.h). The contract backing the parallel prediction
-  /// engine: the output row for sample i depends only on the weights, the
-  /// input row, and stream i — never on the surrounding batch — so any
-  /// row partition at any thread count reproduces the same bits.
-  /// Default: fall through to Forward() (correct for networks without
-  /// stochastic layers); stochastic networks must override.
-  virtual Matrix ForwardRows(const Matrix& input, Mode mode,
-                             RowRngs* row_rngs) {
-    return Forward(input, mode,
-                   row_rngs && !row_rngs->empty() ? row_rngs->data()
-                                                  : nullptr);
-  }
-
   virtual Matrix Backward(const Matrix& grad_output) = 0;
   virtual std::vector<Matrix*> Params() = 0;
   virtual std::vector<Matrix*> Grads() = 0;

@@ -59,6 +59,12 @@ class Pipeline {
   StatusOr<std::vector<metrics::Interval>> ScoreIntervals(
       const Matrix& x) const;
 
+  /// The input check every scoring entry point runs first: `x` has
+  /// feature_dim() columns and every feature is finite. Otherwise
+  /// kInvalidArgument naming the mismatch or the first non-finite row and
+  /// column.
+  Status CheckFeatures(const Matrix& x) const;
+
   /// Conformal-quantile plumbing for the online recalibrator (rDRP
   /// only): read / atomically swap q_hat, and recompute Eq. (3) score
   /// ingredients on a feedback window. All forward to the scorer.
@@ -115,10 +121,6 @@ class Pipeline {
 
  private:
   Pipeline() = default;
-
-  /// The input check every scoring entry point runs first: `x` has
-  /// `feature_dim_` columns and every feature is finite.
-  Status CheckFeatures(const Matrix& x) const;
 
   std::string scorer_name_;
   int feature_dim_ = -1;

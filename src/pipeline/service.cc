@@ -64,6 +64,13 @@ ScoringService::~ScoringService() {
 
 std::future<StatusOr<std::vector<double>>> ScoringService::Submit(
     Matrix x, int64_t deadline_micros) {
+  if (Status status = pipeline_.CheckFeatures(x); !status.ok()) {
+    obs::MetricsRegistry::Global().GetCounter("serve.invalid_rows")
+        ->Increment(static_cast<uint64_t>(x.rows()));
+    std::promise<StatusOr<std::vector<double>>> rejected;
+    rejected.set_value(std::move(status));
+    return rejected.get_future();
+  }
   Request request;
   request.x = std::move(x);
   request.trace_id = next_trace_id_.fetch_add(1, std::memory_order_relaxed);

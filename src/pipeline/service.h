@@ -89,8 +89,9 @@ struct ServiceOptions {
 /// thread pool internally.
 ///
 /// Metrics (obs registry): serve.requests, serve.deadline_exceeded,
-/// serve.errors counters; serve.queue_depth gauge; serve.batch_occupancy
-/// and serve.latency_micros histograms (p99 via the histogram buckets).
+/// serve.errors, serve.invalid_rows counters; serve.queue_depth gauge;
+/// serve.batch_occupancy and serve.latency_micros histograms (p99 via the
+/// histogram buckets).
 ///
 /// Observability v2: Submit mints a monotone trace ID per request and,
 /// when tracing is enabled, opens a request flow (`"ph":"s"`) on the
@@ -109,9 +110,12 @@ class ScoringService {
   ScoringService& operator=(const ScoringService&) = delete;
 
   /// Enqueues a scoring request; the future resolves when the dispatcher
-  /// has scored it (or rejected it: queue full, deadline exceeded,
-  /// dimension mismatch). `deadline_micros` overrides the default; 0
-  /// falls back to options.default_deadline_micros.
+  /// has scored it (or rejected it: queue full, deadline exceeded).
+  /// A request that fails Pipeline::CheckFeatures (wrong width, a
+  /// non-finite feature) never reaches the queue: its future is already
+  /// resolved with kInvalidArgument and its rows count in
+  /// serve.invalid_rows. `deadline_micros` overrides the default; 0 falls
+  /// back to options.default_deadline_micros.
   std::future<StatusOr<std::vector<double>>> Submit(
       Matrix x, int64_t deadline_micros = 0) ROICL_EXCLUDES(mu_);
 

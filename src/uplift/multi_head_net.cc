@@ -43,22 +43,6 @@ Matrix MultiHeadNet::Forward(const Matrix& input, nn::Mode mode, Rng* rng) {
   return out;
 }
 
-Matrix MultiHeadNet::ForwardRows(const Matrix& input, nn::Mode mode,
-                                 nn::RowRngs* row_rngs) {
-  ROICL_DCHECK(row_rngs == nullptr ||
-               static_cast<int>(row_rngs->size()) == input.rows());
-  Matrix rep = trunk_.ForwardRows(input, mode, row_rngs);
-  ROICL_DCHECK(rep.rows() == input.rows());
-  Matrix out(input.rows(), num_heads());
-  for (int h = 0; h < num_heads(); ++h) {
-    Matrix head_out = heads_[AsSize(h)].ForwardRows(rep, mode, row_rngs);
-    ROICL_CHECK_MSG(head_out.cols() == 1,
-                    "each head must output one column");
-    for (int r = 0; r < out.rows(); ++r) out(r, h) = head_out(r, 0);
-  }
-  return out;
-}
-
 Matrix MultiHeadNet::Backward(const Matrix& grad_output) {
   ROICL_CHECK(grad_output.cols() == num_heads());
   Matrix grad_rep;

@@ -34,12 +34,6 @@ class MultiHeadNet : public nn::Network {
 
   Matrix Forward(const Matrix& input, nn::Mode mode, Rng* rng) override;
 
-  /// Inference-only forward with per-row RNG streams, chained through the
-  /// trunk and every head so stochastic masks stay partition-independent
-  /// (see nn::RowRngs). Required by the batched prediction engine.
-  Matrix ForwardRows(const Matrix& input, nn::Mode mode,
-                     nn::RowRngs* row_rngs) override;
-
   Matrix Backward(const Matrix& grad_output) override;
   std::vector<Matrix*> Params() override;
   std::vector<Matrix*> Grads() override;

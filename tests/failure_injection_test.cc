@@ -54,6 +54,52 @@ TEST(CsvFailureTest, NonBinaryTreatmentRejected) {
   std::remove(path.c_str());
 }
 
+// Loads a one-row CSV (header f0,treatment,y_revenue,y_cost) whose row is
+// `row`, and expects InvalidArgument naming line 2 and `column`.
+void ExpectRowRejected(const std::string& name, const std::string& row,
+                       const std::string& column) {
+  std::string path = WriteTempFile(
+      name, "f0,treatment,y_revenue,y_cost\n" + row + "\n");
+  StatusOr<RctDataset> result = ReadDatasetCsv(path);
+  ASSERT_FALSE(result.ok()) << "row '" << row << "' loaded";
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  const std::string& message = result.status().message();
+  EXPECT_NE(message.find("line 2"), std::string::npos) << message;
+  EXPECT_NE(message.find(column), std::string::npos) << message;
+  std::remove(path.c_str());
+}
+
+TEST(CsvFailureTest, NonNumericFeatureRejected) {
+  ExpectRowRejected("abc_feature.csv", "abc,1,0.5,0.2", "column 1 (f0)");
+}
+
+TEST(CsvFailureTest, EmptyFeatureRejected) {
+  ExpectRowRejected("empty_feature.csv", ",1,0.5,0.2", "column 1 (f0)");
+}
+
+TEST(CsvFailureTest, TrailingGarbageInFeatureRejected) {
+  ExpectRowRejected("trailing.csv", "0.5x,1,0.5,0.2", "column 1 (f0)");
+}
+
+TEST(CsvFailureTest, NonNumericTreatmentRejected) {
+  ExpectRowRejected("yes_treatment.csv", "0.5,yes,0.5,0.2",
+                    "column 2 (treatment)");
+}
+
+TEST(CsvFailureTest, FractionalTreatmentRejected) {
+  ExpectRowRejected("fractional_treatment.csv", "0.5,1.7,0.5,0.2",
+                    "column 2 (treatment)");
+}
+
+TEST(CsvFailureTest, InfiniteOutcomeRejected) {
+  ExpectRowRejected("inf_revenue.csv", "0.5,1,inf,0.2",
+                    "column 3 (y_revenue)");
+}
+
+TEST(CsvFailureTest, NanFeatureRejected) {
+  ExpectRowRejected("nan_feature.csv", "nan,1,0.5,0.2", "column 1 (f0)");
+}
+
 TEST(CsvFailureTest, EmptyFileRejected) {
   std::string path = WriteTempFile("empty.csv", "");
   EXPECT_FALSE(ReadDatasetCsv(path).ok());

@@ -1,5 +1,7 @@
 #include <cmath>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -209,6 +211,171 @@ INSTANTIATE_TEST_SUITE_P(Activations, MlpGradientCheck,
                                            ActivationKind::kElu,
                                            ActivationKind::kSigmoid,
                                            ActivationKind::kTanh));
+
+// ---------- ForwardRowsInto: caller-owned output buffers ----------
+
+Matrix RandomInput(int rows, int cols, uint64_t seed) {
+  Rng rng(seed);
+  Matrix m(rows, cols);
+  for (double& v : m.data()) v = rng.Normal();
+  return m;
+}
+
+RowRngs StreamsFor(int rows, uint64_t seed) {
+  RowRngs rngs;
+  for (int r = 0; r < rows; ++r) {
+    rngs.push_back(MakeCounterRng(seed, static_cast<uint64_t>(r)));
+  }
+  return rngs;
+}
+
+void ExpectSameBits(const Matrix& actual, const Matrix& expected,
+                    const std::string& what) {
+  ASSERT_EQ(actual.rows(), expected.rows()) << what;
+  ASSERT_EQ(actual.cols(), expected.cols()) << what;
+  for (size_t i = 0; i < actual.size(); ++i) {
+    ASSERT_EQ(actual.data()[i], expected.data()[i])
+        << what << ", element " << i;
+  }
+}
+
+// ForwardRowsInto into a fresh buffer, a reused same-shape buffer holding
+// stale values, a buffer of another shape and, for elementwise layers, in
+// place: each must equal ForwardRows bitwise. Every call gets the same
+// freshly seeded streams, so stochastic layers draw the same masks.
+void ExpectIntoMatchesForwardRows(Layer* layer, Mode mode) {
+  const std::string where =
+      mode == Mode::kInfer ? "kInfer: " : "kMcSample: ";
+  const Matrix input = RandomInput(5, 6, 11);
+  RowRngs rngs = StreamsFor(5, 12);
+  const Matrix expected = layer->ForwardRows(input, mode, &rngs);
+
+  Matrix fresh;
+  rngs = StreamsFor(5, 12);
+  layer->ForwardRowsInto(input, mode, &rngs, &fresh);
+  ExpectSameBits(fresh, expected, where + "fresh buffer");
+
+  for (double& v : fresh.data()) v = 12345.0;
+  const double* storage = fresh.data().data();
+  rngs = StreamsFor(5, 12);
+  layer->ForwardRowsInto(input, mode, &rngs, &fresh);
+  ExpectSameBits(fresh, expected, where + "reused buffer");
+  EXPECT_EQ(fresh.data().data(), storage)
+      << where << "a same-shape buffer was reallocated";
+
+  Matrix other(3, 2, 7.0);
+  rngs = StreamsFor(5, 12);
+  layer->ForwardRowsInto(input, mode, &rngs, &other);
+  ExpectSameBits(other, expected, where + "buffer of another shape");
+
+  if (layer->SupportsInPlace()) {
+    Matrix in_place = input;
+    rngs = StreamsFor(5, 12);
+    layer->ForwardRowsInto(in_place, mode, &rngs, &in_place);
+    ExpectSameBits(in_place, expected, where + "in place");
+  }
+}
+
+TEST(ForwardRowsIntoTest, DenseMatchesForwardRows) {
+  Rng rng(21);
+  Dense dense(6, 4, Init::kXavier, &rng);
+  for (double& b : dense.Params()[1]->data()) b = rng.Uniform(-1.0, 1.0);
+  EXPECT_FALSE(dense.SupportsInPlace());
+  for (Mode mode : {Mode::kInfer, Mode::kMcSample}) {
+    ExpectIntoMatchesForwardRows(&dense, mode);
+  }
+}
+
+class ActivationIntoTest : public ::testing::TestWithParam<ActivationKind> {
+};
+
+TEST_P(ActivationIntoTest, MatchesForwardRows) {
+  Activation activation(GetParam());
+  EXPECT_TRUE(activation.SupportsInPlace());
+  for (Mode mode : {Mode::kInfer, Mode::kMcSample}) {
+    ExpectIntoMatchesForwardRows(&activation, mode);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Activations, ActivationIntoTest,
+                         ::testing::Values(ActivationKind::kRelu,
+                                           ActivationKind::kElu,
+                                           ActivationKind::kSigmoid,
+                                           ActivationKind::kTanh));
+
+TEST(ForwardRowsIntoTest, DropoutMatchesForwardRows) {
+  for (double rate : {0.0, 0.2}) {
+    SCOPED_TRACE("rate " + std::to_string(rate));
+    Dropout dropout(rate);
+    EXPECT_TRUE(dropout.SupportsInPlace());
+    for (Mode mode : {Mode::kInfer, Mode::kMcSample}) {
+      ExpectIntoMatchesForwardRows(&dropout, mode);
+    }
+  }
+}
+
+TEST(ForwardRowsIntoTest, DropoutDrawsEachRowFromItsOwnStream) {
+  Dropout dropout(0.2);
+  const Matrix input = RandomInput(5, 6, 13);
+  RowRngs rngs = StreamsFor(5, 14);
+  Matrix out;
+  dropout.ForwardRowsInto(input, Mode::kMcSample, &rngs, &out);
+  for (int r = 0; r < input.rows(); ++r) {
+    Rng stream = MakeCounterRng(14, static_cast<uint64_t>(r));
+    for (int c = 0; c < input.cols(); ++c) {
+      const double factor = stream.Bernoulli(0.8) ? 1.0 / 0.8 : 0.0;
+      EXPECT_EQ(out(r, c), input(r, c) * factor) << "row " << r;
+    }
+  }
+}
+
+TEST(ForwardRowsIntoTest, MlpWorkspaceMatchesLayerChainAcrossPasses) {
+  Rng rng(31);
+  // Dense, ReLU, Dropout, Dense, ReLU, Dropout, Dense: row r's stream runs
+  // through both dropout layers.
+  Mlp net = Mlp::MakeMlp(6, {8, 5}, 1, ActivationKind::kRelu,
+                         /*dropout_rate=*/0.2, &rng);
+  ASSERT_EQ(net.num_layers(), 7u);
+  const Matrix input = RandomInput(9, 6, 32);
+  Mlp::Workspace workspace;
+  std::vector<const double*> storage;
+  for (uint64_t pass = 0; pass < 3; ++pass) {
+    SCOPED_TRACE("pass " + std::to_string(pass));
+    // Reference: the allocating layer chain over one set of streams.
+    RowRngs chain_rngs = StreamsFor(9, 40 + pass);
+    Matrix expected = input;
+    for (size_t i = 0; i < net.num_layers(); ++i) {
+      expected =
+          net.layer(i)->ForwardRows(expected, Mode::kMcSample, &chain_rngs);
+    }
+    RowRngs rngs = StreamsFor(9, 40 + pass);
+    const Matrix& out =
+        net.ForwardRowsInto(input, Mode::kMcSample, &rngs, &workspace);
+    ExpectSameBits(out, expected, "workspace forward");
+
+    // Each row forwarded alone with only its own stream: same bits.
+    for (int r = 0; r < input.rows(); ++r) {
+      Matrix row(1, input.cols());
+      for (int c = 0; c < input.cols(); ++c) row(0, c) = input(r, c);
+      RowRngs own = {MakeCounterRng(40 + pass, static_cast<uint64_t>(r))};
+      Mlp::Workspace alone;
+      EXPECT_EQ(net.ForwardRowsInto(row, Mode::kMcSample, &own, &alone)(0, 0),
+                out(r, 0))
+          << "row " << r;
+    }
+
+    // Passes after the first reuse every buffer.
+    std::vector<const double*> now;
+    for (const Matrix& buffer : workspace.outputs) {
+      now.push_back(buffer.data().data());
+    }
+    if (pass == 0) {
+      storage = now;
+    } else {
+      EXPECT_EQ(now, storage) << "workspace reallocated";
+    }
+  }
+}
 
 }  // namespace
 }  // namespace roicl::nn

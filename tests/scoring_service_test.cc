@@ -8,7 +8,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <future>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -17,6 +19,7 @@
 
 #include "common/math_util.h"
 #include "core/interval_backend.h"
+#include "obs/metrics.h"
 #include "pipeline/pipeline.h"
 #include "pipeline/service.h"
 #include "synth/synthetic_generator.h"
@@ -109,6 +112,56 @@ TEST(ScoringService, RejectsWrongDimensionWithoutCrashing) {
   // The service stays usable after a bad request.
   RctDataset data = Gen(5, 66);
   EXPECT_TRUE(service.Score(data.x).ok());
+}
+
+TEST(ScoringService, SubmitRejectsInvalidRequestsBeforeTheQueue) {
+  pipeline::Pipeline pipeline = TrainSmallDrp();
+  const int dim = pipeline.feature_dim();
+  RctDataset before = Gen(9, 81);
+  RctDataset after = Gen(11, 82);
+  std::vector<double> expected_before = pipeline.Score(before.x).value();
+  std::vector<double> expected_after = pipeline.Score(after.x).value();
+  Matrix nan_request = after.x;
+  nan_request(3, 1) = std::numeric_limits<double>::quiet_NaN();
+  Matrix wrong_width(4, dim + 1, 0.25);
+
+  pipeline::ScoringService service(std::move(pipeline), {});
+  obs::Counter* invalid_rows =
+      obs::MetricsRegistry::Global().GetCounter("serve.invalid_rows");
+  const uint64_t invalid_at_start = invalid_rows->value();
+
+  StatusOr<std::vector<double>> first = service.Score(before.x);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(first.value(), expected_before);
+  const uint64_t served = service.requests_served();
+  std::future<StatusOr<std::vector<double>>> nan_future =
+      service.Submit(nan_request);
+  std::future<StatusOr<std::vector<double>>> wrong_future =
+      service.Submit(wrong_width);
+  // Rejected inside Submit: both futures are resolved on return, and the
+  // dispatcher never sees them.
+  ASSERT_EQ(nan_future.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+  ASSERT_EQ(wrong_future.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+  EXPECT_EQ(service.requests_served(), served);
+  StatusOr<std::vector<double>> nan_result = nan_future.get();
+  ASSERT_FALSE(nan_result.ok());
+  EXPECT_EQ(nan_result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(nan_result.status().message().find("row 3 column 1"),
+            std::string::npos)
+      << nan_result.status().ToString();
+  StatusOr<std::vector<double>> wrong_result = wrong_future.get();
+  ASSERT_FALSE(wrong_result.ok());
+  EXPECT_EQ(wrong_result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(invalid_rows->value() - invalid_at_start,
+            static_cast<uint64_t>(nan_request.rows() + wrong_width.rows()));
+
+  // The valid requests on either side are served exactly as in process.
+  StatusOr<std::vector<double>> last = service.Score(after.x);
+  ASSERT_TRUE(last.ok()) << last.status().ToString();
+  EXPECT_EQ(last.value(), expected_after);
+  EXPECT_EQ(service.requests_served(), served + 1);
 }
 
 TEST(ScoringService, QueueOverflowRejectsInsteadOfBlocking) {

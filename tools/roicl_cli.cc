@@ -336,8 +336,8 @@ void PreregisterStandardMetrics() {
        {"train.epochs", "train.early_stops", "mc_dropout.samples",
         "roi_star.searches", "allocate.calls", "threadpool.tasks",
         "serve.requests", "serve.rejected", "serve.deadline_exceeded",
-        "serve.errors", "conformal.qhat_infinite", "monitor.windows",
-        "monitor.drift_triggers", "monitor.recalibrations",
+        "serve.errors", "serve.invalid_rows", "conformal.qhat_infinite",
+        "monitor.windows", "monitor.drift_triggers", "monitor.recalibrations",
         "monitor.coverage_alerts", "monitor.outcomes", "slo.events",
         "slo.warn_transitions", "slo.breach_transitions",
         "alloc.streaming_calls", "alloc.rows_streamed",

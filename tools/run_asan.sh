@@ -32,10 +32,13 @@ build_dir=${2:-"${repo_root}/build-asan"}
 #   campaign_allocate_test  the K>1 paths of the shared streaming greedy:
 #                      per-arm chunk buffers and the pair decode
 #                      (index / n) into per-arm spend arrays
+#   determinism_test   MC-dropout workspace reuse across a block's passes
+#                      and the short last block: a buffer-reuse path
 asan_tests=(matrix_test solve_test data_test serialize_test nn_layers_test
             common_misc_test greedy_test uplift_test
             pipeline_roundtrip_test incremental_quantile_test
-            interval_backend_test alloc_fuzz_test campaign_allocate_test)
+            interval_backend_test alloc_fuzz_test campaign_allocate_test
+            determinism_test)
 
 cmake -S "${repo_root}" -B "${build_dir}" -DROICL_SANITIZE=address \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
