@@ -101,7 +101,7 @@ void BM_McDropoutInference(benchmark::State& state) {
 void BM_BatchForward(benchmark::State& state) {
   core::DrpModel& drp = SharedSmallDrp();
   RctDataset test = MakeData(4000);
-  core::DrpConfig config = drp.config();
+  core::DrpConfig config;
   config.predict.batch_size = static_cast<int>(state.range(0));
   config.predict.num_threads = 1;
   core::DrpModel runner(config);

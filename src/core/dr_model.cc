@@ -2,17 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iomanip>
-#include <limits>
-#include <string>
-#include <utility>
+#include <vector>
 
 #include "common/macros.h"
 #include "common/math_util.h"
-#include "core/mc_dropout.h"
-#include "metrics/cost_curve.h"
-#include "nn/dense.h"
-#include "nn/serialize.h"
 
 namespace roicl::core {
 namespace {
@@ -94,140 +87,15 @@ class DirectRankLoss : public nn::BatchLoss {
 }  // namespace
 
 void DirectRankModel::Fit(const RctDataset& train) {
-  train.Validate();
-  ROICL_CHECK_MSG(train.NumTreated() > 0 && train.NumControl() > 0,
-                  "DR requires both RCT arms");
-  Matrix x_scaled = scaler_.FitTransform(train.x);
-
-  int hidden = config_.hidden_units;
-  if (hidden <= 0) hidden = train.n() < 4000 ? 32 : 128;
-
   DirectRankLoss loss(&train.treatment, &train.y_revenue, &train.y_cost,
                       config_.cost_floor);
-  std::vector<int> train_index(AsSize(train.n()));
-  for (int i = 0; i < train.n(); ++i) train_index[AsSize(i)] = i;
-  std::vector<int> validation_index;
-  if (config_.train.patience > 0 && train.n() >= 100) {
-    int n_val = std::max(1, train.n() / 10);
-    validation_index.assign(train_index.end() - n_val, train_index.end());
-    train_index.resize(train_index.size() - AsSize(n_val));
-  }
-
-  // Multi-restart, mirroring DrpModel (see there for rationale).
-  int restarts = std::max(1, config_.restarts);
-  double best_loss = std::numeric_limits<double>::infinity();
-  for (int restart = 0; restart < restarts; ++restart) {
-    Rng rng(config_.seed + static_cast<uint64_t>(restart) * 7919,
-            /*stream=*/37);
-    auto candidate = std::make_unique<nn::Mlp>(nn::Mlp::MakeMlp(
-        train.dim(), {hidden}, /*output_dim=*/1, config_.activation,
-        config_.dropout, &rng));
-    nn::TrainConfig train_config = config_.train;
-    train_config.seed =
-        config_.train.seed + static_cast<uint64_t>(restart) * 104729;
-    nn::TrainResult result =
-        nn::TrainNetwork(candidate.get(), x_scaled, train_index,
-                         validation_index, loss, train_config);
-    // Rank restarts by held-out AUCC — the deployment metric — rather
-    // than by loss, which correlates only loosely with ranking quality.
-    double score;
-    if (validation_index.empty()) {
-      score = result.final_train_loss;
-    } else {
-      Matrix val_x = x_scaled.SelectRows(validation_index);
-      Matrix out = candidate->Forward(val_x, nn::Mode::kInfer, nullptr);
-      score = -metrics::Aucc(out.Col(0), train.Subset(validation_index));
-    }
-    if (score < best_loss) {
-      best_loss = score;
-      net_ = std::move(candidate);
-    }
-  }
-}
-
-std::vector<double> DirectRankModel::PredictRoi(const Matrix& x) const {
-  ROICL_CHECK_MSG(fitted(), "PredictRoi() before Fit()");
-  Matrix x_scaled = scaler_.Transform(x);
-  Matrix out = nn::BatchedInferForward(net_.get(), x_scaled,
-                                       config_.predict);
-  std::vector<double> roi = out.Col(0);
-  // DR only learns a ranking; the sigmoid maps it into (0, 1) so the
-  // downstream tooling can treat all direct models uniformly.
-  for (double& v : roi) {
-    v = Sigmoid(v);
-    ROICL_DCHECK_FINITE(v);
-  }
-  return roi;
-}
-
-McDropoutStats DirectRankModel::PredictMcRoi(
-    const Matrix& x, int passes, uint64_t seed,
-    const nn::BatchOptions& opts) const {
-  ROICL_CHECK_MSG(fitted(), "PredictMcRoi() before Fit()");
-  Matrix x_scaled = scaler_.Transform(x);
-  return RunMcDropout(net_.get(), x_scaled, passes, seed,
-                      /*sigmoid_output=*/true, opts);
-}
-
-Status DirectRankModel::Save(std::ostream& out) const {
-  if (!fitted()) return Status::FailedPrecondition("model not fitted");
-  out << "roicl-dr-v1\n";
-  out << std::setprecision(17);
-  const std::vector<double>& means = scaler_.means();
-  const std::vector<double>& stds = scaler_.stddevs();
-  out << means.size();
-  for (double m : means) out << ' ' << m;
-  for (double s : stds) out << ' ' << s;
-  out << '\n';
-  return nn::SaveMlp(*net_, out);
+  FitNetwork(train, loss, config_, config_.seed, /*rng_stream=*/37);
 }
 
 StatusOr<DirectRankModel> DirectRankModel::Load(
     std::istream& in, const DirectRankConfig& config) {
-  std::string magic;
-  if (!(in >> magic)) {
-    return Status::InvalidArgument("empty or truncated dr model stream");
-  }
-  if (magic != "roicl-dr-v1") {
-    if (magic.rfind("roicl-dr-v", 0) == 0) {
-      return Status::InvalidArgument("unsupported dr format version '" +
-                                     magic + "' (expected roicl-dr-v1)");
-    }
-    return Status::InvalidArgument("bad magic '" + magic +
-                                   "' (expected roicl-dr-v1)");
-  }
-  size_t dim = 0;
-  if (!(in >> dim) || dim == 0 || dim > 1000000) {
-    return Status::InvalidArgument("bad feature dimension");
-  }
-  std::vector<double> means(dim), stds(dim);
-  for (double& v : means) {
-    if (!(in >> v)) return Status::InvalidArgument("truncated means");
-  }
-  for (double& v : stds) {
-    if (!(in >> v)) return Status::InvalidArgument("truncated stds");
-    if (v <= 0.0) return Status::InvalidArgument("non-positive stddev");
-  }
-  StatusOr<nn::Mlp> net = nn::LoadMlp(in);
-  if (!net.ok()) return net.status();
-  int net_input = -1;
-  for (size_t l = 0; l < net.value().num_layers(); ++l) {
-    if (const auto* dense =
-            dynamic_cast<const nn::Dense*>(net.value().layer(l))) {
-      net_input = dense->in_features();
-      break;
-    }
-  }
-  if (net_input != static_cast<int>(dim)) {
-    return Status::InvalidArgument(
-        "feature dimension mismatch: scaler has " + std::to_string(dim) +
-        " features but the network expects " + std::to_string(net_input));
-  }
-
   DirectRankModel model(config);
-  model.scaler_ =
-      StandardScaler::FromMoments(std::move(means), std::move(stds));
-  model.net_ = std::make_unique<nn::Mlp>(std::move(net).value());
+  if (Status status = model.LoadNetwork(in); !status.ok()) return status;
   return model;
 }
 

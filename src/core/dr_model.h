@@ -2,40 +2,19 @@
 #define ROICL_CORE_DR_MODEL_H_
 
 #include <istream>
-#include <memory>
-#include <ostream>
 #include <string>
-#include <vector>
 
 #include "common/status.h"
 #include "core/direct_model.h"
-#include "data/scaler.h"
-#include "nn/mlp.h"
-#include "nn/trainer.h"
 
 namespace roicl::core {
 
 /// Direct Rank hyperparameters (same network shape as DRP for the fair
 /// comparison the paper runs).
-struct DirectRankConfig {
-  /// Hidden-layer width; <= 0 selects automatically from the training-set
-  /// size (mirrors DrpConfig for the paper's fair comparison).
-  int hidden_units = 0;
-  nn::ActivationKind activation = nn::ActivationKind::kRelu;
-  double dropout = 0.2;
-  nn::TrainConfig train;
-  /// Independent random restarts; the net with the best validation (or
-  /// final training) loss is kept. Neural uplift losses are noisy and a
-  /// run occasionally diverges — restarts make the fit robust, which is
-  /// exactly the deployment pain the paper's "insufficient samples"
-  /// limitation describes.
-  int restarts = 3;
+struct DirectRankConfig : DirectNetConfig {
   /// Floor for the incremental-cost denominator inside the loss.
   double cost_floor = 1e-3;
   uint64_t seed = 78;
-  /// Batched prediction-engine knobs (row-block size, thread count).
-  /// Throughput only — predictions are bit-identical across settings.
-  nn::BatchOptions predict;
 };
 
 /// The Direct Rank (DR) baseline of Du, Lee & Ghaffarizadeh (2019):
@@ -48,40 +27,18 @@ struct DirectRankConfig {
 class DirectRankModel : public DirectRoiModel {
  public:
   explicit DirectRankModel(const DirectRankConfig& config)
-      : config_(config) {}
+      : DirectRoiModel("dr", config.predict), config_(config) {}
 
   void Fit(const RctDataset& train) override;
-  std::vector<double> PredictRoi(const Matrix& x) const override;
   std::string name() const override { return "DR"; }
 
-  using DirectRoiModel::PredictMcRoi;
-  McDropoutStats PredictMcRoi(const Matrix& x, int passes, uint64_t seed,
-                              const nn::BatchOptions& opts) const override;
-
-  bool fitted() const { return net_ != nullptr; }
-
-  /// Feature dimension the model was fitted on (-1 before Fit/Load).
-  int feature_dim() const {
-    return scaler_.fitted() ? static_cast<int>(scaler_.means().size()) : -1;
-  }
-
-  /// Re-points the batched prediction engine. Throughput knob only.
-  void set_predict_options(const nn::BatchOptions& opts) {
-    config_.predict = opts;
-  }
-
-  /// Serializes the fitted model (scaler + network, "roicl-dr-v1") so a
-  /// trained ranker can be deployed without retraining. Requires fitted().
-  Status Save(std::ostream& out) const;
-  /// Restores a model saved by Save(). `config` supplies runtime knobs;
-  /// the architecture comes from the stream.
+  /// Restores a model saved by Save() ("roicl-dr-v1"). `config` supplies
+  /// runtime knobs; the architecture comes from the stream.
   static StatusOr<DirectRankModel> Load(
       std::istream& in, const DirectRankConfig& config = DirectRankConfig());
 
  private:
   DirectRankConfig config_;
-  StandardScaler scaler_;
-  mutable std::unique_ptr<nn::Mlp> net_;
 };
 
 }  // namespace roicl::core

@@ -1,187 +1,21 @@
 #include "core/drp_model.h"
 
-#include <fstream>
-#include <iomanip>
-#include <limits>
-#include <string>
-
-#include "common/macros.h"
-#include "common/math_util.h"
 #include "core/drp_loss.h"
-#include "nn/dense.h"
-#include "nn/serialize.h"
-#include "core/mc_dropout.h"
-#include "metrics/cost_curve.h"
-#include "obs/log.h"
 #include "obs/trace.h"
 
 namespace roicl::core {
 
 void DrpModel::Fit(const RctDataset& train) {
-  train.Validate();
-  ROICL_CHECK_MSG(train.NumTreated() > 0 && train.NumControl() > 0,
-                  "DRP requires both RCT arms");
   obs::ScopedSpan span("drp.fit");
-  Matrix x_scaled = scaler_.FitTransform(train.x);
-
-  int hidden = config_.hidden_units;
-  if (hidden <= 0) {
-    // Capacity scaled to data volume: big nets overfit (and train
-    // unstably) on the paper's "Insufficient" RCT sizes.
-    hidden = train.n() < 4000 ? 32 : 128;
-  }
-
   DrpLoss loss(&train.treatment, &train.y_revenue, &train.y_cost);
-  std::vector<int> train_index(AsSize(train.n()));
-  for (int i = 0; i < train.n(); ++i) train_index[AsSize(i)] = i;
-  std::vector<int> validation_index;
-  if (config_.train.patience > 0 && train.n() >= 100) {
-    int n_val = std::max(1, train.n() / 10);
-    validation_index.assign(train_index.end() - n_val, train_index.end());
-    train_index.resize(train_index.size() - AsSize(n_val));
-  }
-
-  // Multi-restart: a noisy causal loss occasionally sends one run to a
-  // bad region; keep the restart with the best held-out (or training)
-  // loss.
-  int restarts = std::max(1, config_.restarts);
-  double best_loss = std::numeric_limits<double>::infinity();
-  for (int restart = 0; restart < restarts; ++restart) {
-    Rng rng(config_.seed + static_cast<uint64_t>(restart) * 7919,
-            /*stream=*/31);
-    auto candidate = std::make_unique<nn::Mlp>(nn::Mlp::MakeMlp(
-        train.dim(), {hidden}, /*output_dim=*/1, config_.activation,
-        config_.dropout, &rng));
-    nn::TrainConfig train_config = config_.train;
-    train_config.seed =
-        config_.train.seed + static_cast<uint64_t>(restart) * 104729;
-    nn::TrainResult result =
-        nn::TrainNetwork(candidate.get(), x_scaled, train_index,
-                         validation_index, loss, train_config);
-    // Rank restarts by held-out AUCC — the deployment metric — rather
-    // than by loss, which correlates only loosely with ranking quality.
-    double score;
-    if (validation_index.empty()) {
-      score = result.final_train_loss;
-    } else {
-      Matrix val_x = x_scaled.SelectRows(validation_index);
-      Matrix out = candidate->Forward(val_x, nn::Mode::kInfer, nullptr);
-      score = -metrics::Aucc(out.Col(0), train.Subset(validation_index));
-    }
-    obs::Debug("drp restart", {{"restart", restart}, {"score", score}});
-    if (score < best_loss) {
-      best_loss = score;
-      net_ = std::move(candidate);
-    }
-  }
-  obs::Debug("drp fit done", {{"n", train.n()},
-                              {"hidden", hidden},
-                              {"restarts", restarts},
-                              {"best_score", best_loss}});
-}
-
-std::vector<double> DrpModel::PredictScore(const Matrix& x) const {
-  ROICL_CHECK_MSG(fitted(), "PredictScore() before Fit()");
-  Matrix x_scaled = scaler_.Transform(x);
-  Matrix out = nn::BatchedInferForward(net_.get(), x_scaled,
-                                       config_.predict);
-  return out.Col(0);
-}
-
-std::vector<double> DrpModel::PredictRoi(const Matrix& x) const {
-  std::vector<double> scores = PredictScore(x);
-  for (double& s : scores) {
-    s = Sigmoid(s);
-    ROICL_DCHECK_FINITE(s);
-  }
-  return scores;
-}
-
-McDropoutStats DrpModel::PredictMcRoi(const Matrix& x, int passes,
-                                      uint64_t seed,
-                                      const nn::BatchOptions& opts) const {
-  ROICL_CHECK_MSG(fitted(), "PredictMcRoi() before Fit()");
-  Matrix x_scaled = scaler_.Transform(x);
-  return RunMcDropout(net_.get(), x_scaled, passes, seed,
-                      /*sigmoid_output=*/true, opts);
-}
-
-Status DrpModel::Save(std::ostream& out) const {
-  if (!fitted()) return Status::FailedPrecondition("model not fitted");
-  out << "roicl-drp-v1\n";
-  out << std::setprecision(17);
-  const std::vector<double>& means = scaler_.means();
-  const std::vector<double>& stds = scaler_.stddevs();
-  out << means.size();
-  for (double m : means) out << ' ' << m;
-  for (double s : stds) out << ' ' << s;
-  out << '\n';
-  return nn::SaveMlp(*net_, out);
-}
-
-Status DrpModel::SaveToFile(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return Status::IoError("cannot open for writing: " + path);
-  return Save(out);
+  FitNetwork(train, loss, config_, config_.seed, /*rng_stream=*/31);
 }
 
 StatusOr<DrpModel> DrpModel::Load(std::istream& in,
                                   const DrpConfig& config) {
-  std::string magic;
-  if (!(in >> magic)) {
-    return Status::InvalidArgument("empty or truncated drp model stream");
-  }
-  if (magic != "roicl-drp-v1") {
-    if (magic.rfind("roicl-drp-v", 0) == 0) {
-      return Status::InvalidArgument("unsupported drp format version '" +
-                                     magic + "' (expected roicl-drp-v1)");
-    }
-    return Status::InvalidArgument("bad magic '" + magic +
-                                   "' (expected roicl-drp-v1)");
-  }
-  size_t dim = 0;
-  if (!(in >> dim) || dim == 0 || dim > 1000000) {
-    return Status::InvalidArgument("bad feature dimension");
-  }
-  std::vector<double> means(dim), stds(dim);
-  for (double& v : means) {
-    if (!(in >> v)) return Status::InvalidArgument("truncated means");
-  }
-  for (double& v : stds) {
-    if (!(in >> v)) return Status::InvalidArgument("truncated stds");
-    if (v <= 0.0) return Status::InvalidArgument("non-positive stddev");
-  }
-  StatusOr<nn::Mlp> net = nn::LoadMlp(in);
-  if (!net.ok()) return net.status();
-
-  // Cross-check: the network's first dense layer must consume exactly the
-  // scaler's feature dimension, or predictions would index out of range.
-  int net_input = -1;
-  for (size_t l = 0; l < net.value().num_layers(); ++l) {
-    if (const auto* dense =
-            dynamic_cast<const nn::Dense*>(net.value().layer(l))) {
-      net_input = dense->in_features();
-      break;
-    }
-  }
-  if (net_input != static_cast<int>(dim)) {
-    return Status::InvalidArgument(
-        "feature dimension mismatch: scaler has " + std::to_string(dim) +
-        " features but the network expects " + std::to_string(net_input));
-  }
-
   DrpModel model(config);
-  model.scaler_ =
-      StandardScaler::FromMoments(std::move(means), std::move(stds));
-  model.net_ = std::make_unique<nn::Mlp>(std::move(net).value());
+  if (Status status = model.LoadNetwork(in); !status.ok()) return status;
   return model;
-}
-
-StatusOr<DrpModel> DrpModel::LoadFromFile(const std::string& path,
-                                          const DrpConfig& config) {
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot open for reading: " + path);
-  return Load(in, config);
 }
 
 }  // namespace roicl::core

@@ -2,42 +2,16 @@
 #define ROICL_CORE_DRP_MODEL_H_
 
 #include <istream>
-#include <memory>
-#include <ostream>
 #include <string>
-#include <vector>
 
 #include "common/status.h"
 #include "core/direct_model.h"
-#include "data/scaler.h"
-#include "nn/mlp.h"
-#include "nn/trainer.h"
 
 namespace roicl::core {
 
-/// DRP hyperparameters. Defaults follow §IV-D of the paper: one hidden
-/// layer of 10-100 units.
-struct DrpConfig {
-  /// Hidden-layer width; <= 0 selects automatically from the training-set
-  /// size (small nets for small RCTs — the paper's 10-100 range).
-  int hidden_units = 0;
-  nn::ActivationKind activation = nn::ActivationKind::kRelu;
-  /// Dropout rate of the hidden layer — doubles as the training
-  /// regularizer and the MC-dropout source at inference.
-  double dropout = 0.2;
-  nn::TrainConfig train;
-  /// Independent random restarts; the net with the best validation (or
-  /// final training) loss is kept. Neural uplift losses are noisy and a
-  /// run occasionally diverges — restarts make the fit robust, which is
-  /// exactly the deployment pain the paper's "insufficient samples"
-  /// limitation describes.
-  int restarts = 3;
+/// DRP hyperparameters: the shared direct network plus its init seed.
+struct DrpConfig : DirectNetConfig {
   uint64_t seed = 77;
-  /// Batched prediction-engine knobs (row-block size, thread count) used
-  /// by PredictScore/PredictRoi and as the default for PredictMcRoi.
-  /// Affects throughput only — predictions are bit-identical across
-  /// settings.
-  nn::BatchOptions predict;
 };
 
 /// The Direct ROI Prediction model (Zhou et al., AAAI 2023): a one-hidden-
@@ -45,52 +19,19 @@ struct DrpConfig {
 /// is sigmoid(s). Features are standardized internally.
 class DrpModel : public DirectRoiModel {
  public:
-  explicit DrpModel(const DrpConfig& config) : config_(config) {}
+  explicit DrpModel(const DrpConfig& config)
+      : DirectRoiModel("drp", config.predict), config_(config) {}
 
   void Fit(const RctDataset& train) override;
-  std::vector<double> PredictRoi(const Matrix& x) const override;
   std::string name() const override { return "DRP"; }
-
-  /// Raw logits s = h(x) (PredictRoi is sigmoid of this).
-  std::vector<double> PredictScore(const Matrix& x) const;
-
-  using DirectRoiModel::PredictMcRoi;
-  McDropoutStats PredictMcRoi(const Matrix& x, int passes, uint64_t seed,
-                              const nn::BatchOptions& opts) const override;
-
-  const DrpConfig& config() const { return config_; }
-  bool fitted() const { return net_ != nullptr; }
-
-  /// Feature dimension the model was fitted on (-1 before Fit/Load).
-  int feature_dim() const {
-    return scaler_.fitted() ? static_cast<int>(scaler_.means().size()) : -1;
-  }
-
-  /// Re-points the batched prediction engine (row-block size, thread
-  /// count). Throughput knob only — output bits never change.
-  void set_predict_options(const nn::BatchOptions& opts) {
-    config_.predict = opts;
-  }
-
-  /// Serializes the fitted model (scaler + network) to a stream/file so a
-  /// model trained offline can be deployed without retraining. Requires
-  /// fitted().
-  Status Save(std::ostream& out) const;
-  Status SaveToFile(const std::string& path) const;
 
   /// Restores a model saved by Save(). `config` supplies the runtime
   /// knobs (MC seed etc.); the architecture comes from the stream.
   static StatusOr<DrpModel> Load(std::istream& in,
                                  const DrpConfig& config = DrpConfig());
-  static StatusOr<DrpModel> LoadFromFile(
-      const std::string& path, const DrpConfig& config = DrpConfig());
 
  private:
   DrpConfig config_;
-  StandardScaler scaler_;
-  // The network is behind a pointer (and mutable) because Forward() must
-  // update layer caches even on const prediction paths.
-  mutable std::unique_ptr<nn::Mlp> net_;
 };
 
 }  // namespace roicl::core

@@ -1,10 +1,9 @@
 #include "core/ipw_drp.h"
 
+#include <vector>
+
 #include "common/macros.h"
-#include "common/math_util.h"
 #include "core/drp_loss.h"
-#include "core/mc_dropout.h"
-#include "nn/trainer.h"
 
 namespace roicl::core {
 
@@ -20,53 +19,12 @@ void IpwDrpModel::Fit(const RctDataset& train) {
   std::vector<double> weights =
       propensity_->InverseWeights(train.x, train.treatment);
 
-  // Stage 2: weighted DRP.
-  Matrix x_scaled = scaler_.FitTransform(train.x);
-  int hidden = config_.drp.hidden_units;
-  if (hidden <= 0) hidden = train.n() < 4000 ? 32 : 128;
-  Rng rng(config_.drp.seed, /*stream=*/59);
-  net_ = std::make_unique<nn::Mlp>(nn::Mlp::MakeMlp(
-      train.dim(), {hidden}, /*output_dim=*/1, config_.drp.activation,
-      config_.drp.dropout, &rng));
-
+  // Stage 2: weighted DRP, a single run.
   DrpLoss loss(&train.treatment, &train.y_revenue, &train.y_cost,
                &weights);
-  std::vector<int> train_index(AsSize(train.n()));
-  for (int i = 0; i < train.n(); ++i) train_index[AsSize(i)] = i;
-  std::vector<int> validation_index;
-  if (config_.drp.train.patience > 0 && train.n() >= 100) {
-    int n_val = std::max(1, train.n() / 10);
-    validation_index.assign(train_index.end() - n_val, train_index.end());
-    train_index.resize(train_index.size() - AsSize(n_val));
-  }
-  nn::TrainNetwork(net_.get(), x_scaled, train_index, validation_index,
-                   loss, config_.drp.train);
-}
-
-std::vector<double> IpwDrpModel::PredictScore(const Matrix& x) const {
-  ROICL_CHECK_MSG(fitted(), "PredictScore() before Fit()");
-  Matrix x_scaled = scaler_.Transform(x);
-  Matrix out =
-      nn::BatchedInferForward(net_.get(), x_scaled, config_.drp.predict);
-  return out.Col(0);
-}
-
-std::vector<double> IpwDrpModel::PredictRoi(const Matrix& x) const {
-  std::vector<double> scores = PredictScore(x);
-  for (double& s : scores) {
-    s = Sigmoid(s);
-    ROICL_DCHECK_FINITE(s);
-  }
-  return scores;
-}
-
-McDropoutStats IpwDrpModel::PredictMcRoi(
-    const Matrix& x, int passes, uint64_t seed,
-    const nn::BatchOptions& opts) const {
-  ROICL_CHECK_MSG(fitted(), "PredictMcRoi() before Fit()");
-  Matrix x_scaled = scaler_.Transform(x);
-  return RunMcDropout(net_.get(), x_scaled, passes, seed,
-                      /*sigmoid_output=*/true, opts);
+  DirectNetConfig single_run = config_.drp;
+  single_run.restarts = 1;
+  FitNetwork(train, loss, single_run, config_.drp.seed, /*rng_stream=*/59);
 }
 
 }  // namespace roicl::core

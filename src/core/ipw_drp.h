@@ -3,12 +3,9 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "core/direct_model.h"
 #include "core/drp_model.h"
-#include "data/scaler.h"
-#include "nn/mlp.h"
 #include "uplift/propensity.h"
 
 namespace roicl::core {
@@ -26,29 +23,23 @@ struct IpwDrpConfig {
   uplift::PropensityConfig propensity;
 };
 
+/// Trains one network (no restarts) and has no saved form.
 class IpwDrpModel : public DirectRoiModel {
  public:
-  explicit IpwDrpModel(const IpwDrpConfig& config) : config_(config) {}
+  explicit IpwDrpModel(const IpwDrpConfig& config)
+      : DirectRoiModel(/*blob_tag=*/nullptr, config.drp.predict),
+        config_(config) {}
 
   /// Fits the propensity model, derives IPW weights, and trains the DRP
   /// network with the weighted loss. `train` need NOT be an RCT.
   void Fit(const RctDataset& train) override;
-
-  std::vector<double> PredictRoi(const Matrix& x) const override;
-  std::vector<double> PredictScore(const Matrix& x) const;
-  using DirectRoiModel::PredictMcRoi;
-  McDropoutStats PredictMcRoi(const Matrix& x, int passes, uint64_t seed,
-                              const nn::BatchOptions& opts) const override;
   std::string name() const override { return "IPW-DRP"; }
 
   const uplift::PropensityModel& propensity() const { return *propensity_; }
-  bool fitted() const { return net_ != nullptr; }
 
  private:
   IpwDrpConfig config_;
-  StandardScaler scaler_;
   std::unique_ptr<uplift::PropensityModel> propensity_;
-  mutable std::unique_ptr<nn::Mlp> net_;
 };
 
 }  // namespace roicl::core

@@ -2,34 +2,17 @@
 #define ROICL_CORE_RANK_NET_H_
 
 #include <istream>
-#include <memory>
-#include <ostream>
 #include <string>
-#include <vector>
 
 #include "common/status.h"
 #include "core/direct_model.h"
-#include "data/scaler.h"
-#include "nn/mlp.h"
-#include "nn/trainer.h"
 
 namespace roicl::core {
 
 /// RankNet hyperparameters (same network shape as DRP/DR so the eleventh
 /// Table-I row trains under a comparable budget).
-struct RankNetConfig {
-  /// Hidden-layer width; <= 0 selects automatically from the training-set
-  /// size (mirrors DrpConfig).
-  int hidden_units = 0;
-  nn::ActivationKind activation = nn::ActivationKind::kRelu;
-  double dropout = 0.2;
-  nn::TrainConfig train;
-  /// Independent random restarts ranked by held-out AUCC (like DR).
-  int restarts = 3;
+struct RankNetConfig : DirectNetConfig {
   uint64_t seed = 91;
-  /// Batched prediction-engine knobs (row-block size, thread count).
-  /// Throughput only — predictions are bit-identical across settings.
-  nn::BatchOptions predict;
 };
 
 /// Ranking-objective ROI scorer ("Metalearners for Ranking Treatment
@@ -51,38 +34,18 @@ struct RankNetConfig {
 /// directions — no ratio, no cost floor, no ROI regression target.
 class RankNetModel : public DirectRoiModel {
  public:
-  explicit RankNetModel(const RankNetConfig& config) : config_(config) {}
+  explicit RankNetModel(const RankNetConfig& config)
+      : DirectRoiModel("ranknet", config.predict), config_(config) {}
 
   void Fit(const RctDataset& train) override;
-  std::vector<double> PredictRoi(const Matrix& x) const override;
   std::string name() const override { return "RankNet"; }
 
-  using DirectRoiModel::PredictMcRoi;
-  McDropoutStats PredictMcRoi(const Matrix& x, int passes, uint64_t seed,
-                              const nn::BatchOptions& opts) const override;
-
-  bool fitted() const { return net_ != nullptr; }
-
-  /// Feature dimension the model was fitted on (-1 before Fit/Load).
-  int feature_dim() const {
-    return scaler_.fitted() ? static_cast<int>(scaler_.means().size()) : -1;
-  }
-
-  /// Re-points the batched prediction engine. Throughput knob only.
-  void set_predict_options(const nn::BatchOptions& opts) {
-    config_.predict = opts;
-  }
-
-  /// Serializes the fitted model (scaler + network, "roicl-ranknet-v1");
-  /// a save/load round trip reproduces predictions bit for bit.
-  Status Save(std::ostream& out) const;
+  /// Restores a model saved by Save() ("roicl-ranknet-v1").
   static StatusOr<RankNetModel> Load(
       std::istream& in, const RankNetConfig& config = RankNetConfig());
 
  private:
   RankNetConfig config_;
-  StandardScaler scaler_;
-  mutable std::unique_ptr<nn::Mlp> net_;
 };
 
 }  // namespace roicl::core

@@ -26,10 +26,7 @@ struct MethodSpec {
 using MethodHyperparams = pipeline::Hyperparams;
 
 inline core::DrpConfig MakeDrpConfig(const MethodHyperparams& hp) {
-  return pipeline::MakeDrpConfig(hp);
-}
-inline core::DirectRankConfig MakeDrConfig(const MethodHyperparams& hp) {
-  return pipeline::MakeDrConfig(hp);
+  return pipeline::MakeDirectConfig<core::DrpConfig>(hp, /*seed_offset=*/1);
 }
 inline core::RdrpConfig MakeRdrpConfig(const MethodHyperparams& hp) {
   return pipeline::MakeRdrpConfig(hp);

@@ -263,7 +263,7 @@ void SloEngine::EvaluateLocked(Tracker* tracker) {
   const size_t short_n = std::min(total, spec.short_window);
   size_t short_bad = 0;
   for (size_t i = total - short_n; i < total; ++i) {
-    short_bad += tracker->window[i] ? 1 : 0;
+    short_bad += tracker->window[i] ? 1u : 0u;
   }
   tracker->long_burn = total == 0 ? 0.0
                                   : static_cast<double>(long_bad) /

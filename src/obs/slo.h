@@ -36,8 +36,8 @@
 ///   coverage_floor     bad: outcome uncovered;     budget = 1 - target
 ///   drift_alert_budget bad: window drift-flagged;  budget = target
 ///
-/// `tools/check_slo_specs.sh` lints spec files; `configs/serving.slo` is
-/// the canonical serving config consumed by the `load-replay` subcommand.
+/// `configs/serving.slo` is the canonical serving config consumed by the
+/// `load-replay` subcommand; slo_test parses every committed `*.slo`.
 
 namespace roicl::obs {
 

@@ -44,11 +44,14 @@ class TpmScorer : public RoiScorer {
   uplift::TpmRoiModel model_;
 };
 
-/// Direct Rank: direct neural scorer with MC-dropout uncertainty.
-class DrScorer : public RoiScorer {
+/// DR, DRP and RankNet: a direct neural scorer with MC-dropout
+/// uncertainty; `seed_offset` picks the family's init seed.
+template <typename Model, typename Config>
+class DirectScorer : public RoiScorer {
  public:
-  explicit DrScorer(const Hyperparams& hp)
-      : config_(MakeDrConfig(hp)), model_(config_) {}
+  DirectScorer(const Hyperparams& hp, uint64_t seed_offset)
+      : config_(MakeDirectConfig<Config>(hp, seed_offset)),
+        model_(config_) {}
 
   void Fit(const RctDataset& train) override { model_.Fit(train); }
   std::vector<double> PredictRoi(const Matrix& x) const override {
@@ -75,58 +78,15 @@ class DrScorer : public RoiScorer {
     return model_.Save(out);
   }
   Status LoadModel(std::istream& in) override {
-    StatusOr<core::DirectRankModel> loaded =
-        core::DirectRankModel::Load(in, config_);
+    StatusOr<Model> loaded = Model::Load(in, config_);
     if (!loaded.ok()) return loaded.status();
     model_ = std::move(loaded).value();
     return Status::Ok();
   }
 
  private:
-  core::DirectRankConfig config_;
-  core::DirectRankModel model_;
-};
-
-/// DRP: the paper's direct ROI model, with MC-dropout uncertainty.
-class DrpScorer : public RoiScorer {
- public:
-  explicit DrpScorer(const Hyperparams& hp)
-      : config_(MakeDrpConfig(hp)), model_(config_) {}
-
-  void Fit(const RctDataset& train) override { model_.Fit(train); }
-  std::vector<double> PredictRoi(const Matrix& x) const override {
-    return model_.PredictRoi(x);
-  }
-  std::string name() const override { return model_.name(); }
-  int feature_dim() const override { return model_.feature_dim(); }
-
-  bool has_mc_uncertainty() const override { return true; }
-  StatusOr<core::McDropoutStats> ScoreMc(const Matrix& x, int passes,
-                                         uint64_t seed) const override {
-    if (!model_.fitted()) {
-      return Status::FailedPrecondition("scorer not fitted");
-    }
-    return model_.PredictMcRoi(x, passes, seed, config_.predict);
-  }
-
-  void set_batch_options(const nn::BatchOptions& opts) override {
-    config_.predict = opts;
-    model_.set_predict_options(opts);
-  }
-
-  Status SaveModel(std::ostream& out) const override {
-    return model_.Save(out);
-  }
-  Status LoadModel(std::istream& in) override {
-    StatusOr<core::DrpModel> loaded = core::DrpModel::Load(in, config_);
-    if (!loaded.ok()) return loaded.status();
-    model_ = std::move(loaded).value();
-    return Status::Ok();
-  }
-
- private:
-  core::DrpConfig config_;
-  core::DrpModel model_;
+  Config config_;
+  Model model_;
 };
 
 /// rDRP: the paper's contribution — calibrated points, MC uncertainty AND
@@ -226,50 +186,6 @@ class RdrpScorer : public RoiScorer {
   core::RdrpModel model_;
 };
 
-/// RankNet: ranking-objective direct scorer (Vanderschueren et al.) with
-/// MC-dropout uncertainty — the eleventh Table-I row.
-class RankNetScorer : public RoiScorer {
- public:
-  explicit RankNetScorer(const Hyperparams& hp)
-      : config_(MakeRankNetConfig(hp)), model_(config_) {}
-
-  void Fit(const RctDataset& train) override { model_.Fit(train); }
-  std::vector<double> PredictRoi(const Matrix& x) const override {
-    return model_.PredictRoi(x);
-  }
-  std::string name() const override { return model_.name(); }
-  int feature_dim() const override { return model_.feature_dim(); }
-
-  bool has_mc_uncertainty() const override { return true; }
-  StatusOr<core::McDropoutStats> ScoreMc(const Matrix& x, int passes,
-                                         uint64_t seed) const override {
-    if (!model_.fitted()) {
-      return Status::FailedPrecondition("scorer not fitted");
-    }
-    return model_.PredictMcRoi(x, passes, seed, config_.predict);
-  }
-
-  void set_batch_options(const nn::BatchOptions& opts) override {
-    config_.predict = opts;
-    model_.set_predict_options(opts);
-  }
-
-  Status SaveModel(std::ostream& out) const override {
-    return model_.Save(out);
-  }
-  Status LoadModel(std::istream& in) override {
-    StatusOr<core::RankNetModel> loaded =
-        core::RankNetModel::Load(in, config_);
-    if (!loaded.ok()) return loaded.status();
-    model_ = std::move(loaded).value();
-    return Status::Ok();
-  }
-
- private:
-  core::RankNetConfig config_;
-  core::RankNetModel model_;
-};
-
 std::unique_ptr<RoiScorer> MakeTpmNeural(const Hyperparams& hp,
                                          uplift::NeuralCateKind kind,
                                          const std::string& name) {
@@ -319,16 +235,21 @@ void RegisterBuiltinScorers(ScorerRegistry* registry) {
     return MakeTpmNeural(hp, uplift::NeuralCateKind::kSnet, "TPM-SNet");
   });
   registry->Register("DR", [](const Hyperparams& hp) {
-    return std::make_unique<DrScorer>(hp);
+    return std::make_unique<
+        DirectScorer<core::DirectRankModel, core::DirectRankConfig>>(
+        hp, /*seed_offset=*/2);
   });
   registry->Register("DRP", [](const Hyperparams& hp) {
-    return std::make_unique<DrpScorer>(hp);
+    return std::make_unique<DirectScorer<core::DrpModel, core::DrpConfig>>(
+        hp, /*seed_offset=*/1);
   });
   registry->Register("rDRP", [](const Hyperparams& hp) {
     return std::make_unique<RdrpScorer>(hp);
   });
   registry->Register("RankNet", [](const Hyperparams& hp) {
-    return std::make_unique<RankNetScorer>(hp);
+    return std::make_unique<
+        DirectScorer<core::RankNetModel, core::RankNetConfig>>(
+        hp, /*seed_offset=*/11);
   });
 }
 

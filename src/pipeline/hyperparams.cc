@@ -1,5 +1,6 @@
 #include "pipeline/hyperparams.h"
 
+#include <cmath>
 #include <cstdio>
 #include <sstream>
 #include <string>
@@ -41,57 +42,10 @@ bool ParseDouble(const std::string& text, double* out) {
 
 }  // namespace
 
-core::DrpConfig MakeDrpConfig(const Hyperparams& hp) {
-  core::DrpConfig config;
-  config.hidden_units = hp.drp_hidden;
-  config.dropout = hp.drp_dropout;
-  config.train.epochs = hp.neural_epochs;
-  config.train.batch_size = hp.batch_size;
-  config.train.learning_rate = hp.learning_rate;
-  config.train.patience = hp.patience;
-  config.train.seed = hp.seed;
-  config.restarts = hp.restarts;
-  config.seed = hp.seed + 1;
-  config.predict.batch_size = hp.predict_batch_size;
-  config.predict.num_threads = hp.predict_threads;
-  return config;
-}
-
-core::DirectRankConfig MakeDrConfig(const Hyperparams& hp) {
-  core::DirectRankConfig config;
-  config.hidden_units = hp.drp_hidden;
-  config.dropout = hp.drp_dropout;
-  config.train.epochs = hp.neural_epochs;
-  config.train.batch_size = hp.batch_size;
-  config.train.learning_rate = hp.learning_rate;
-  config.train.patience = hp.patience;
-  config.train.seed = hp.seed;
-  config.restarts = hp.restarts;
-  config.seed = hp.seed + 2;
-  config.predict.batch_size = hp.predict_batch_size;
-  config.predict.num_threads = hp.predict_threads;
-  return config;
-}
-
-core::RankNetConfig MakeRankNetConfig(const Hyperparams& hp) {
-  core::RankNetConfig config;
-  config.hidden_units = hp.drp_hidden;
-  config.dropout = hp.drp_dropout;
-  config.train.epochs = hp.neural_epochs;
-  config.train.batch_size = hp.batch_size;
-  config.train.learning_rate = hp.learning_rate;
-  config.train.patience = hp.patience;
-  config.train.seed = hp.seed;
-  config.restarts = hp.restarts;
-  config.seed = hp.seed + 11;
-  config.predict.batch_size = hp.predict_batch_size;
-  config.predict.num_threads = hp.predict_threads;
-  return config;
-}
-
 core::RdrpConfig MakeRdrpConfig(const Hyperparams& hp) {
   core::RdrpConfig config;
-  config.drp = MakeDrpConfig(hp);  // identical DRP for fair comparison
+  // The DRP row's exact network: identical DRP for fair comparison.
+  config.drp = MakeDirectConfig<core::DrpConfig>(hp, /*seed_offset=*/1);
   config.mc_passes = hp.mc_passes;
   config.alpha = hp.alpha;
   config.mc_seed = hp.seed + 3;
@@ -217,7 +171,38 @@ StatusOr<Hyperparams> ParseHyperparams(const std::string& line) {
                                      "': '" + value + "'");
     }
   }
+  if (Status valid = ValidateHyperparams(hp); !valid.ok()) return valid;
   return hp;
+}
+
+Status ValidateHyperparams(const Hyperparams& hp,
+                           const std::map<std::string, std::string>& names) {
+  std::string failure;  // the first rule broken
+  auto require = [&](const char* key, double value, bool holds,
+                     const char* range) {
+    if (holds || !failure.empty()) return;
+    auto name = names.find(key);
+    failure = (name == names.end() ? std::string(key) : name->second) +
+              " must be " + range + ", got " + FormatDouble(value);
+  };
+  require("neural_epochs", hp.neural_epochs, hp.neural_epochs >= 1, ">= 1");
+  require("batch_size", hp.batch_size, hp.batch_size >= 1, ">= 1");
+  require("learning_rate", hp.learning_rate,
+          std::isfinite(hp.learning_rate) && hp.learning_rate > 0.0,
+          "finite and > 0");
+  require("drp_dropout", hp.drp_dropout,
+          hp.drp_dropout >= 0.0 && hp.drp_dropout < 1.0, "in [0, 1)");
+  require("cate_epochs", hp.cate_epochs, hp.cate_epochs >= 1, ">= 1");
+  require("forest_trees", hp.forest_trees, hp.forest_trees >= 1, ">= 1");
+  require("causal_forest_trees", hp.causal_forest_trees,
+          hp.causal_forest_trees >= 1, ">= 1");
+  require("mc_passes", hp.mc_passes, hp.mc_passes >= 2, ">= 2");
+  require("alpha", hp.alpha, hp.alpha > 0.0 && hp.alpha < 1.0, "in (0, 1)");
+  require("predict_batch_size", hp.predict_batch_size,
+          hp.predict_batch_size >= 1, ">= 1");
+  require("predict_threads", hp.predict_threads, hp.predict_threads >= 0,
+          ">= 0");
+  return failure.empty() ? Status::Ok() : Status::InvalidArgument(failure);
 }
 
 }  // namespace roicl::pipeline

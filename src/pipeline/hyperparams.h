@@ -1,12 +1,11 @@
 #ifndef ROICL_PIPELINE_HYPERPARAMS_H_
 #define ROICL_PIPELINE_HYPERPARAMS_H_
 
+#include <cstdint>
+#include <map>
 #include <string>
 
 #include "common/status.h"
-#include "core/dr_model.h"
-#include "core/drp_model.h"
-#include "core/rank_net.h"
 #include "core/rdrp.h"
 #include "trees/causal_forest.h"
 #include "trees/random_forest.h"
@@ -65,10 +64,27 @@ struct Hyperparams {
 /// architecture, training budget, and seed offsets — from the one shared
 /// block through these, so an artifact that stores `Hyperparams` can
 /// rebuild identical models.
-core::DrpConfig MakeDrpConfig(const Hyperparams& hp);
-core::DirectRankConfig MakeDrConfig(const Hyperparams& hp);
+///
+/// A direct model's config (core::DrpConfig, DirectRankConfig or
+/// RankNetConfig): the shared network block plus the family's init seed,
+/// hp.seed + `seed_offset` (DRP +1, DR +2, RankNet +11).
+template <typename Config>
+Config MakeDirectConfig(const Hyperparams& hp, uint64_t seed_offset) {
+  Config config;
+  config.hidden_units = hp.drp_hidden;
+  config.dropout = hp.drp_dropout;
+  config.train.epochs = hp.neural_epochs;
+  config.train.batch_size = hp.batch_size;
+  config.train.learning_rate = hp.learning_rate;
+  config.train.patience = hp.patience;
+  config.train.seed = hp.seed;
+  config.restarts = hp.restarts;
+  config.seed = hp.seed + seed_offset;
+  config.predict.batch_size = hp.predict_batch_size;
+  config.predict.num_threads = hp.predict_threads;
+  return config;
+}
 core::RdrpConfig MakeRdrpConfig(const Hyperparams& hp);
-core::RankNetConfig MakeRankNetConfig(const Hyperparams& hp);
 uplift::NeuralCateConfig MakeNeuralCateConfig(const Hyperparams& hp);
 trees::ForestConfig MakeForestConfig(const Hyperparams& hp);
 trees::CausalForestConfig MakeCausalForestConfig(const Hyperparams& hp);
@@ -77,10 +93,21 @@ trees::CausalForestConfig MakeCausalForestConfig(const Hyperparams& hp);
 /// round-trip precision). Keys are emitted in a fixed order.
 std::string SerializeHyperparams(const Hyperparams& hp);
 
-/// Parses a line written by SerializeHyperparams. Unknown keys are an
-/// error (they signal a newer writer); missing keys keep their defaults,
-/// so older artifacts stay loadable when new knobs are added.
+/// Parses a line written by SerializeHyperparams and runs
+/// ValidateHyperparams on it. Unknown keys are an error (they signal a
+/// newer writer); missing keys keep their defaults, so older artifacts
+/// stay loadable when new knobs are added.
 StatusOr<Hyperparams> ParseHyperparams(const std::string& line);
+
+/// Range-checks the knobs whose consumers would otherwise abort on them:
+/// mc_passes >= 2; drp_dropout in [0, 1); neural_epochs, cate_epochs,
+/// batch_size, predict_batch_size, forest_trees and causal_forest_trees
+/// >= 1; learning_rate finite and > 0; predict_threads >= 0; alpha in
+/// (0, 1). InvalidArgument names the first knob out of range by its key,
+/// or by `names[key]` where given (the CLI passes its flag names).
+Status ValidateHyperparams(
+    const Hyperparams& hp,
+    const std::map<std::string, std::string>& names = {});
 
 }  // namespace roicl::pipeline
 

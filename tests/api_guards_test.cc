@@ -2,6 +2,8 @@
 // hold, and configuration corner cases work.
 
 #include <cmath>
+#include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -12,6 +14,7 @@
 #include "nn/mlp.h"
 #include "nn/optimizer.h"
 #include "nn/trainer.h"
+#include "pipeline/pipeline.h"
 #include "trees/causal_forest.h"
 #include "trees/regression_tree.h"
 #include "uplift/neural_cate.h"
@@ -171,6 +174,52 @@ TEST(AbTestGuardsTest, RejectsBadConfig) {
   config.num_days = 0;
   EXPECT_DEATH(abtest::RunAbTest(generator, false, model, model, config),
                "");
+}
+
+// ---------- pipeline ----------
+
+// A knob outside the range its consumer CHECKs must fail the artifact
+// load with a Status, not abort the first score (mc_passes < 2 reaches
+// RunMcDropout, drp_dropout = 1 the Dropout layer).
+TEST(PipelineGuards, LoadRejectsOutOfRangeHyperparams) {
+  synth::SyntheticGenerator generator(synth::CriteoSynthConfig());
+  Rng rng(31);
+  RctDataset train = generator.Generate(400, /*shifted=*/false, &rng);
+  RctDataset calibration = generator.Generate(200, /*shifted=*/true, &rng);
+  pipeline::Hyperparams hp;
+  hp.neural_epochs = 2;
+  hp.restarts = 1;
+  hp.mc_passes = 5;
+  StatusOr<pipeline::Pipeline> trained = pipeline::Pipeline::Train(
+      "rDRP", hp, train, &calibration, pipeline::Provenance());
+  ASSERT_TRUE(trained.ok()) << trained.status().ToString();
+  std::ostringstream saved;
+  ASSERT_TRUE(trained.value().Save(saved).ok());
+  const std::string artifact = saved.str();
+
+  // Replaces the value of `key` in the manifest's hyperparams line.
+  auto with_value = [&](const std::string& key, const std::string& value) {
+    const size_t start = artifact.find(" " + key + "=") + key.size() + 2;
+    const size_t end = artifact.find_first_of(" \n", start);
+    return artifact.substr(0, start) + value + artifact.substr(end);
+  };
+  {
+    std::istringstream in(artifact);
+    ASSERT_TRUE(pipeline::Pipeline::Load(in).ok());
+  }
+  const struct {
+    const char* key;
+    const char* value;
+  } kBad[] = {{"mc_passes", "1"}, {"mc_passes", "0"}, {"drp_dropout", "1"}};
+  for (const auto& bad : kBad) {
+    SCOPED_TRACE(std::string(bad.key) + "=" + bad.value);
+    std::istringstream in(with_value(bad.key, bad.value));
+    StatusOr<pipeline::Pipeline> loaded = pipeline::Pipeline::Load(in);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(loaded.status().message().find(bad.key), std::string::npos)
+        << loaded.status().ToString();
+  }
 }
 
 }  // namespace

@@ -93,11 +93,13 @@ TEST_P(PerArmCoverage, EveryArmCoversItsConvergencePoint) {
       scorer.value()->PredictIntervalsPerArm(splits.test.x);
   ASSERT_EQ(intervals.size(), 2u);
   for (int arm = 1; arm <= 2; ++arm) {
+    const std::vector<metrics::Interval>& arm_intervals =
+        intervals[static_cast<size_t>(arm - 1)];
     double target =
         core::BinarySearchRoiStar(splits.test.BinarySubproblem(arm));
-    std::vector<double> targets(intervals[arm - 1].size(), target);
+    std::vector<double> targets(arm_intervals.size(), target);
     metrics::CoverageReport report =
-        metrics::EvaluateCoverage(intervals[arm - 1], targets);
+        metrics::EvaluateCoverage(arm_intervals, targets);
     // 1 - alpha = 0.9 minus the finite-sample slack the binary coverage
     // tests use: calibration roi* and test roi* differ slightly.
     EXPECT_GE(report.coverage, 0.82)
@@ -111,8 +113,8 @@ INSTANTIATE_TEST_SUITE_P(
     DatasetsByBackends, PerArmCoverage,
     ::testing::Combine(::testing::Values("criteo", "meituan", "alibaba"),
                        ::testing::Values("split", "weighted", "cqr")),
-    [](const ::testing::TestParamInfo<PerArmCoverage::ParamType>& info) {
-      return std::get<0>(info.param) + "_" + std::get<1>(info.param);
+    [](const ::testing::TestParamInfo<PerArmCoverage::ParamType>& param) {
+      return std::get<0>(param.param) + "_" + std::get<1>(param.param);
     });
 
 // ---------------------------------------------------------------------

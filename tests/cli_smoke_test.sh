@@ -72,9 +72,52 @@ check_rejects "--arm-budgets entry 'nan'" \
   $CLI campaign --arm-budgets 0.2,nan,0.05
 check_rejects "--arm-budgets entry ''" \
   $CLI campaign --arm-budgets 0.2,,0.05
+# Hyperparameter flags parse whole and run the artifact loader's range
+# table: each of these used to abort (exit 134) inside training or
+# scoring, or, for "12x", silently run as 12.
+rdrp_train=($CLI train --method rdrp --train $WORK/train.csv
+            --calib $WORK/calib.csv --save-pipeline $WORK/x.pipeline)
+check_rejects "--mc-passes must be an integer" "${rdrp_train[@]}" \
+  --mc-passes abc
+check_rejects "--mc-passes must be >= 2" "${rdrp_train[@]}" --mc-passes 1
+check_rejects "--dropout must be in [0, 1)" "${rdrp_train[@]}" --dropout 1
+check_rejects "--dropout must be in [0, 1)" "${rdrp_train[@]}" --dropout 1.5
+check_rejects "--epochs must be an integer" "${rdrp_train[@]}" --epochs abc
+check_rejects "--epochs must be >= 1" "${rdrp_train[@]}" --epochs -1
+check_rejects "--lr must be a number" "${rdrp_train[@]}" --lr abc
+check_rejects "--batch-size must be an integer" "${rdrp_train[@]}" \
+  --batch-size 12x
+check_rejects "--mc-passes must be >= 2" $CLI campaign --mc-passes 1
 # --threads 0 is the documented "shared pool" setting, not an error.
 $CLI predict --model-type rdrp --model $WORK/model.rdrp \
     --data $WORK/test.csv --threads 0 --out $WORK/threads0.csv
 [ "$(wc -l < $WORK/threads0.csv)" -eq 801 ]
+
+# Streaming allocation, both sources: the model-free synthetic population
+# in dual mode, and a pipeline scoring a CSV.
+$CLI allocate --streaming --synthetic-rows 200000 --shards 4 --mode dual \
+    > $WORK/stream_dual.txt
+grep -q "dual gap" $WORK/stream_dual.txt
+$CLI train --method drp --train $WORK/train.csv --epochs 5 --restarts 1 \
+    --save-pipeline $WORK/drp.pipeline
+$CLI allocate --streaming --pipeline $WORK/drp.pipeline \
+    --data $WORK/test.csv > $WORK/stream_csv.txt
+grep -q "incr. revenue" $WORK/stream_csv.txt
+# The documented cap failure: 4M shard objects cannot fit in 1 MiB, and
+# the shard charge fails before anything is allocated.
+rc=0
+$CLI allocate --streaming --synthetic-rows 100000 --shards 4000000 \
+    --memory-cap-mb 1 2>$WORK/err.txt || rc=$?
+[ "$rc" -eq 1 ] || { echo "expected exit 1 from the capped run, got $rc"; exit 1; }
+grep -qF "FAILED_PRECONDITION" $WORK/err.txt \
+  || { echo "missing FAILED_PRECONDITION"; cat $WORK/err.txt; exit 1; }
+
+# A successful campaign grid: one table row per arm, each with a numeric
+# coverage column (dnc-rdrp carries per-arm conformal intervals).
+$CLI campaign --dataset criteo --arms 2 --n-train 800 --n-calib 400 \
+    --n-test 400 --epochs 2 --restarts 1 > $WORK/campaign.txt
+[ "$(awk '$1 ~ /^[0-9]+$/ && $4 ~ /^[0-9]+[.][0-9]+$/' \
+    $WORK/campaign.txt | wc -l)" -eq 2 ] \
+  || { echo "expected a coverage value per arm"; cat $WORK/campaign.txt; exit 1; }
 
 echo "CLI smoke test passed"

@@ -75,7 +75,9 @@ TEST(IncrementalQuantile, StarvedWindowReturnsInfinityLikeBatch) {
     double got = iq.QHat(0.05);
     double want = BatchQHat(window, 0.05);
     EXPECT_EQ(std::isinf(got), std::isinf(want)) << "n=" << i + 1;
-    if (!std::isinf(want)) EXPECT_EQ(got, want);
+    if (!std::isinf(want)) {
+      EXPECT_EQ(got, want);
+    }
   }
   EXPECT_TRUE(std::isinf(iq.QHat(0.05)));
   EXPECT_EQ(iq.QHat(0.05), std::numeric_limits<double>::infinity());
@@ -121,7 +123,7 @@ TEST(IncrementalQuantile, MatchesBatchAcrossSeedsWindowsAndChurn) {
       }
       ASSERT_EQ(iq.size(), window.size());
       if (step % 7 == 0 || window.size() == max_window) {
-        double alpha = kAlphas[(seed + step) % 4];
+        double alpha = kAlphas[(seed + static_cast<std::uint64_t>(step)) % 4];
         double got = iq.QHat(alpha);
         double want = BatchQHat(window, alpha);
         // Bitwise: +inf == +inf and finite quantiles are the exact

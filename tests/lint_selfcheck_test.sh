@@ -160,14 +160,6 @@ void PreregisterStandardMetrics() {
 }
 EOF
 
-# check_slo_specs: a spec with an unknown kind, a window inversion, and
-# a duplicate record name.
-mkdir -p "${fixture}/configs"
-cat > "${fixture}/configs/bad.slo" <<'EOF'
-slo latency kind=p99_latency_us target=5000 short_window=64 long_window=8
-slo latency kind=made_up_kind target=0.5 short_window=8 long_window=64
-EOF
-
 # check_testnames: an orphan test source registered in no
 # roicl_add_test(), next to enough registered tests (and one wired .sh
 # harness) to clear the regex-rot count guards.
@@ -248,7 +240,6 @@ expect_fail check_interval_backends \
   bash "${runner}" "${fixture}" check_interval_backends
 expect_fail check_metric_names \
   bash "${runner}" "${fixture}" check_metric_names
-expect_fail check_slo_specs bash "${runner}" "${fixture}" check_slo_specs
 expect_fail check_testnames bash "${runner}" "${fixture}" check_testnames
 expect_fail check_lock_discipline \
   bash "${runner}" "${fixture}" check_lock_discipline
@@ -259,18 +250,6 @@ expect_fail check_lint_manifest \
 # not vacuously pass by running zero lints.
 expect_fail run_lints_unknown_name \
   bash "${runner}" "${repo_root}" check_no_such_lint
-
-# The SLO lint pinpoints the violations, not just "failed".
-slo_out=$(bash "${runner}" "${fixture}" check_slo_specs 2>&1 || true)
-for needle in "unknown kind made_up_kind" "long_window must exceed" \
-    "duplicate slo name latency"; do
-  if grep -q "${needle}" <<<"${slo_out}"; then
-    echo "ok: check_slo_specs reports '${needle}'"
-  else
-    echo "FAIL: check_slo_specs did not report '${needle}'"
-    status=1
-  fi
-done
 
 # The metric lint names the unregistered metric, not just "failed".
 metric_out=$(bash "${runner}" "${fixture}" check_metric_names 2>&1 || true)

@@ -674,7 +674,7 @@ TEST(ExemplarTest, SampledSetIsThreadCountInvariant) {
     return static_cast<double>((trace_id * 9973) % 100000) + 0.5;
   };
   std::vector<std::vector<uint64_t>> runs;
-  for (int threads : {1, 8}) {
+  for (unsigned threads : {1u, 8u}) {
     Histogram histogram(LatencyMicrosBuckets());
     ThreadPool pool(threads);
     pool.ParallelFor(0, kRequests, [&](int i) {

@@ -4,10 +4,13 @@
 // JSON verdict. Window arithmetic is event-count based, so every scenario
 // here is exactly reproducible.
 
-#include <gtest/gtest.h>
-
+#include <algorithm>
+#include <filesystem>
 #include <string>
+#include <system_error>
 #include <vector>
+
+#include <gtest/gtest.h>
 
 #include "obs/metrics.h"
 #include "obs/slo.h"
@@ -228,25 +231,35 @@ TEST(SloEngineTest, VerdictJsonNamesEverySpecAndTheWorstState) {
 }
 
 TEST(SloEngineTest, CanonicalServingSpecParsesAndStartsOk) {
-  // The committed serving config must stay loadable (the spec-file lint
-  // checks the grammar statically; this checks the runtime parser agrees).
-  std::vector<SloSpec> specs;
-  std::string error;
-  // ctest runs this from build/tests; direct runs may start anywhere in
-  // the tree, so probe upward for the repo root.
-  bool loaded = false;
-  for (const char* path :
-       {"configs/serving.slo", "../configs/serving.slo",
-        "../../configs/serving.slo", "../../../configs/serving.slo"}) {
-    if (LoadSloSpecs(path, &specs, &error)) {
-      loaded = true;
-      break;
-    }
+  // Every committed spec must load under the runtime parser (grammar,
+  // kinds, target ranges, window order, unique names) and start a fresh
+  // engine in OK. A spec the parser rejects fails here, at test time,
+  // rather than at the first `load-replay --slo-spec` that reads it.
+  namespace fs = std::filesystem;
+  const fs::path configs = fs::path(ROICL_SOURCE_DIR) / "configs";
+  std::vector<fs::path> files;
+  std::error_code ec;
+  for (const fs::directory_entry& entry :
+       fs::directory_iterator(configs, ec)) {
+    if (entry.path().extension() == ".slo") files.push_back(entry.path());
   }
-  if (!loaded) GTEST_SKIP() << "configs/serving.slo not reachable from cwd";
-  ASSERT_GE(specs.size(), 4u);
-  SloEngine engine(std::move(specs));
-  EXPECT_EQ(engine.WorstState(), SloState::kOk);
+  ASSERT_FALSE(ec) << configs << ": " << ec.message();
+  std::sort(files.begin(), files.end());
+  ASSERT_FALSE(files.empty()) << "no *.slo under " << configs;
+  bool saw_serving = false;
+  for (const fs::path& file : files) {
+    SCOPED_TRACE(file.string());
+    std::vector<SloSpec> specs;
+    std::string error;
+    ASSERT_TRUE(LoadSloSpecs(file.string(), &specs, &error)) << error;
+    if (file.filename() == "serving.slo") {
+      saw_serving = true;
+      EXPECT_GE(specs.size(), 4u);
+    }
+    SloEngine engine(std::move(specs));
+    EXPECT_EQ(engine.WorstState(), SloState::kOk);
+  }
+  EXPECT_TRUE(saw_serving) << "configs/serving.slo is missing";
 }
 
 }  // namespace

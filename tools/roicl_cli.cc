@@ -65,6 +65,8 @@
 // every --*-out file are still written, and the process exits 128+sig.
 
 #include <atomic>
+#include <cerrno>
+#include <climits>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
@@ -133,6 +135,15 @@ void InstallSignalHandlers() {
   std::signal(SIGTERM, HandleSignal);
 }
 
+/// strtod over the whole of `text`; false on empty text, trailing
+/// characters or overflow.
+bool ParseWholeDouble(const std::string& text, double* out) {
+  errno = 0;
+  char* end = nullptr;
+  *out = std::strtod(text.c_str(), &end);
+  return !text.empty() && *end == '\0' && errno != ERANGE;
+}
+
 /// Minimal --flag value parser; flags without values are booleans.
 class Flags {
  public:
@@ -168,13 +179,32 @@ class Flags {
     }
     return it->second;
   }
+  /// Numeric values parse whole: text that is not a number, or a number
+  /// with anything after it ("12x"), exits 2 naming the flag.
   int GetInt(const std::string& key, int fallback) const {
     std::string v = Get(key);
-    return v.empty() ? fallback : std::atoi(v.c_str());
+    if (v.empty()) return fallback;
+    errno = 0;
+    char* end = nullptr;
+    const long value = std::strtol(v.c_str(), &end, 10);
+    if (*end != '\0' || errno == ERANGE || value < INT_MIN ||
+        value > INT_MAX) {
+      std::fprintf(stderr, "--%s must be an integer, got '%s'\n",
+                   key.c_str(), v.c_str());
+      std::exit(2);
+    }
+    return static_cast<int>(value);
   }
   double GetDouble(const std::string& key, double fallback) const {
     std::string v = Get(key);
-    return v.empty() ? fallback : std::atof(v.c_str());
+    if (v.empty()) return fallback;
+    double value = 0.0;
+    if (!ParseWholeDouble(v, &value)) {
+      std::fprintf(stderr, "--%s must be a number, got '%s'\n", key.c_str(),
+                   v.c_str());
+      std::exit(2);
+    }
+    return value;
   }
   bool Has(const std::string& key) const { return values_.count(key) > 0; }
 
@@ -189,6 +219,10 @@ class Flags {
  private:
   std::map<std::string, std::string> values_;
 };
+
+/// Subcommands that take the full hyperparameter block.
+const std::set<std::string> kHyperCommands = {"train", "predict", "evaluate",
+                                              "allocate", "campaign"};
 
 /// Rejects any flag outside the subcommand's vocabulary with a one-line
 /// error naming the flag. A silently-ignored typo (`--aplha 0.2`) is far
@@ -236,8 +270,6 @@ void RejectUnknownFlags(const std::string& command, const Flags& flags) {
         "feedback-rows", "seed", "max-batch", "max-queue", "window-rows",
         "exemplar-rate", "exemplar-seed", "shadow-interval-every"}},
   };
-  static const std::set<std::string> kHyperCommands = {
-      "train", "predict", "evaluate", "allocate", "campaign"};
   static const std::set<std::string> kEngineCommands = {
       "score", "serve", "monitor-replay", "load-replay"};
   auto it = kPerCommand.find(command);
@@ -257,12 +289,13 @@ void RejectUnknownFlags(const std::string& command, const Flags& flags) {
 /// Range checks for flags shared across subcommands. `--threads 0` stays
 /// valid — it selects the shared global pool (see nn::BatchOptions) and
 /// is the default in every test harness; only negative counts are
-/// nonsense. Non-numeric text parses to 0 via atoi/atof and lands in the
-/// rejected range for alpha and batch-size.
+/// nonsense. ValidateHyperparamFlags then range-checks every
+/// hyperparameter flag.
 void ValidateFlagRanges(const Flags& flags) {
   if (flags.Has("alpha")) {
-    double alpha = flags.GetDouble("alpha", 0.0);
-    if (!(alpha > 0.0 && alpha < 1.0)) {
+    double alpha = 0.0;
+    if (!ParseWholeDouble(flags.Get("alpha"), &alpha) ||
+        !(alpha > 0.0 && alpha < 1.0)) {
       std::fprintf(stderr, "--alpha must be in (0, 1), got '%s'\n",
                    flags.Get("alpha").c_str());
       std::exit(2);
@@ -544,6 +577,30 @@ pipeline::Hyperparams HyperparamsFromFlags(const Flags& flags) {
   hp.predict_batch_size = flags.GetInt("batch-size", hp.predict_batch_size);
   hp.predict_threads = flags.GetInt("threads", hp.predict_threads);
   return hp;
+}
+
+/// Runs the artifact loader's hyperparameter range table over the flags
+/// of a subcommand that takes them, so an out-of-range value exits 2
+/// naming its flag instead of aborting deep inside training or scoring.
+void ValidateHyperparamFlags(const std::string& command, const Flags& flags) {
+  if (kHyperCommands.count(command) == 0) return;
+  static const std::map<std::string, std::string> kFlagNames = {
+      {"neural_epochs", "--epochs"},
+      {"learning_rate", "--lr"},
+      {"drp_dropout", "--dropout"},
+      {"cate_epochs", "--cate-epochs"},
+      {"forest_trees", "--forest-trees"},
+      {"causal_forest_trees", "--causal-forest-trees"},
+      {"mc_passes", "--mc-passes"},
+      {"alpha", "--alpha"},
+      {"predict_batch_size", "--batch-size"},
+      {"predict_threads", "--threads"}};
+  Status valid =
+      pipeline::ValidateHyperparams(HyperparamsFromFlags(flags), kFlagNames);
+  if (!valid.ok()) {
+    std::fprintf(stderr, "%s\n", valid.message().c_str());
+    std::exit(2);
+  }
 }
 
 nn::BatchOptions BatchOptionsFromFlags(const Flags& flags) {
@@ -1406,6 +1463,7 @@ int main(int argc, char** argv) {
   Flags flags(argc, argv, 2);
   RejectUnknownFlags(command, flags);
   ValidateFlagRanges(flags);
+  ValidateHyperparamFlags(command, flags);
   SetupObservability(flags);
   InstallSignalHandlers();
   int exit_code = RunCommand(command, flags);
