@@ -109,7 +109,7 @@ void SweepForms(const Env& env) {
   // Recompute each fixed form on the test set using the fitted model's
   // internals.
   std::vector<double> roi_hat =
-      model.PredictPointRoi(env.splits.test.x);
+      model.drp().PredictRoi(env.splits.test.x);
   std::vector<metrics::Interval> intervals =
       model.PredictIntervals(env.splits.test.x);
   std::vector<double> rq(roi_hat.size());

@@ -130,10 +130,12 @@ void BM_ParallelMcDropout(benchmark::State& state) {
   nn::BatchOptions opts;
   opts.batch_size = 128;
   opts.num_threads = static_cast<int>(state.range(0));
+  drp.set_predict_options(opts);
   for (auto _ : state) {
     benchmark::DoNotOptimize(drp.PredictMcRoi(test.x, /*passes=*/20,
-                                              /*seed=*/1, opts));
+                                              /*seed=*/1));
   }
+  drp.set_predict_options(nn::BatchOptions());  // the shared default
   state.SetItemsProcessed(state.iterations() * test.n() * 20);
 }
 

@@ -94,13 +94,12 @@ std::vector<double> DirectRoiModel::PredictRoi(const Matrix& x) const {
   return scores;
 }
 
-McDropoutStats DirectRoiModel::PredictMcRoi(
-    const Matrix& x, int passes, uint64_t seed,
-    const nn::BatchOptions& opts) const {
+McDropoutStats DirectRoiModel::PredictMcRoi(const Matrix& x, int passes,
+                                            uint64_t seed) const {
   ROICL_CHECK_MSG(fitted(), "PredictMcRoi() before Fit()");
   Matrix x_scaled = scaler_.Transform(x);
   return RunMcDropout(net_.get(), x_scaled, passes, seed,
-                      /*sigmoid_output=*/true, opts);
+                      /*sigmoid_output=*/true, predict_);
 }
 
 Status DirectRoiModel::Save(std::ostream& out) const {

@@ -42,8 +42,8 @@ struct DirectNetConfig {
   /// "insufficient samples" limitation describes.
   int restarts = 3;
   /// Batched prediction-engine knobs (row-block size, thread count) used
-  /// by PredictScore/PredictRoi. Affects throughput only — predictions
-  /// are bit-identical across settings.
+  /// by PredictScore, PredictRoi and PredictMcRoi. Affects throughput
+  /// only — predictions are bit-identical across settings.
   nn::BatchOptions predict;
 };
 
@@ -63,19 +63,14 @@ class DirectRoiModel : public uplift::RoiModel {
   /// Raw logits s(x) (PredictRoi is sigmoid of this).
   std::vector<double> PredictScore(const Matrix& x) const;
 
-  /// Runs `passes` stochastic forward passes (dropout active) and returns
-  /// per-sample mean and standard deviation of the ROI prediction. This is
-  /// r_hat(x) of Eq. (3). Deterministic given `seed`: `opts` only selects
-  /// the batch size and thread count of the engine, never the bits of the
-  /// result (counter-based per-(sample, pass) RNG streams).
-  McDropoutStats PredictMcRoi(const Matrix& x, int passes, uint64_t seed,
-                              const nn::BatchOptions& opts) const;
-
-  /// Convenience overload with default engine options.
+  /// Runs `passes` stochastic forward passes (dropout active) on the
+  /// model's engine options and returns per-sample mean and standard
+  /// deviation of the ROI prediction. This is r_hat(x) of Eq. (3).
+  /// Deterministic given `seed`: the engine options only select the batch
+  /// size and thread count, never the bits of the result (counter-based
+  /// per-(sample, pass) RNG streams).
   McDropoutStats PredictMcRoi(const Matrix& x, int passes,
-                              uint64_t seed) const {
-    return PredictMcRoi(x, passes, seed, nn::BatchOptions());
-  }
+                              uint64_t seed) const;
 
   bool fitted() const { return net_ != nullptr; }
 

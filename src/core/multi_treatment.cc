@@ -1,6 +1,7 @@
 #include "core/multi_treatment.h"
 
 #include <string>
+#include <utility>
 
 #include "common/macros.h"
 #include "common/math_util.h"
@@ -59,14 +60,28 @@ RdrpConfig DivideAndConquerRdrp::ArmConfig(const RdrpConfig& base,
   return config;
 }
 
+namespace {
+
+// v2 added each arm's interval backend ahead of its model blob; a v1
+// blob reloads arms without one, which serve split arithmetic whatever
+// backend they were calibrated with, so it is rejected.
+constexpr char kDncMagic[] = "roicl-dnc-rdrp-v2";
+
+}  // namespace
+
 Status DivideAndConquerRdrp::Save(std::ostream& out) const {
   if (models_.empty()) {
     return Status::FailedPrecondition("divide-and-conquer model not fitted");
   }
-  out << "roicl-dnc-rdrp-v1\n" << models_.size() << '\n';
+  out << kDncMagic << '\n' << models_.size() << '\n';
   for (const auto& model : models_) {
-    Status arm_status = model->Save(out);
-    if (!arm_status.ok()) return arm_status;
+    const IntervalBackend* backend = model->interval_backend();
+    if (backend == nullptr) {
+      return Status::FailedPrecondition("arm has no interval backend");
+    }
+    out << backend->name() << '\n';
+    if (Status status = backend->Save(out); !status.ok()) return status;
+    if (Status status = model->Save(out); !status.ok()) return status;
   }
   return Status::Ok();
 }
@@ -78,9 +93,14 @@ StatusOr<DivideAndConquerRdrp> DivideAndConquerRdrp::Load(
     return Status::InvalidArgument(
         "empty or truncated dnc-rdrp model stream");
   }
-  if (magic != "roicl-dnc-rdrp-v1") {
-    return Status::InvalidArgument("bad magic '" + magic +
-                                   "' (expected roicl-dnc-rdrp-v1)");
+  if (magic != kDncMagic) {
+    if (magic.rfind("roicl-dnc-rdrp-v", 0) == 0) {
+      return Status::InvalidArgument(
+          "unsupported dnc-rdrp format version '" + magic + "' (expected " +
+          kDncMagic + ")");
+    }
+    return Status::InvalidArgument("bad magic '" + magic + "' (expected " +
+                                   kDncMagic + ")");
   }
   size_t num_arms = 0;
   if (!(in >> num_arms) || num_arms == 0 || num_arms > 1000) {
@@ -89,9 +109,24 @@ StatusOr<DivideAndConquerRdrp> DivideAndConquerRdrp::Load(
   DivideAndConquerRdrp model(config);
   model.models_.reserve(num_arms);
   for (size_t k = 0; k < num_arms; ++k) {
+    std::string backend_name;
+    if (!(in >> backend_name)) {
+      return Status::InvalidArgument("truncated arm interval backend");
+    }
+    StatusOr<std::unique_ptr<IntervalBackend>> backend =
+        MakeIntervalBackend(backend_name);
+    if (!backend.ok()) return backend.status();
+    if (Status status = backend.value()->Load(in); !status.ok()) {
+      return status;
+    }
     StatusOr<RdrpModel> arm = RdrpModel::Load(
         in, ArmConfig(config, static_cast<int>(k) + 1));
     if (!arm.ok()) return arm.status();
+    if (Status status =
+            arm.value().AdoptIntervalBackend(std::move(backend).value());
+        !status.ok()) {
+      return status;
+    }
     model.models_.push_back(
         std::make_unique<RdrpModel>(std::move(arm).value()));
   }

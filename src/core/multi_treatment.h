@@ -43,13 +43,15 @@ class DivideAndConquerRdrp {
   const RdrpModel& arm_model(int arm) const;
   bool fitted() const { return !models_.empty(); }
 
-  /// Serializes all per-arm calibrated models ("roicl-dnc-rdrp-v1"): the
-  /// arm count followed by each arm's full RdrpModel stream, so a trained
-  /// K-arm estimator deploys without retraining. Requires fitted().
+  /// Serializes all per-arm calibrated models ("roicl-dnc-rdrp-v2"): the
+  /// arm count, then per arm its interval backend (name and state) and
+  /// its full RdrpModel stream, so a trained K-arm estimator deploys
+  /// without retraining. Requires fitted().
   Status Save(std::ostream& out) const;
-  /// Restores a model saved by Save(). `config` supplies the shared
-  /// runtime knobs; per-arm seed derivation is reapplied so reloaded
-  /// models reproduce training-time predictions bit for bit.
+  /// Restores a model saved by Save(), each arm with its saved interval
+  /// backend. `config` supplies the shared runtime knobs; per-arm seed
+  /// derivation is reapplied so reloaded models reproduce training-time
+  /// scores and intervals bit for bit. A v1 blob is a version error.
   static StatusOr<DivideAndConquerRdrp> Load(
       std::istream& in, const RdrpConfig& config = RdrpConfig());
 

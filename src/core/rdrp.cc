@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <iomanip>
 #include <utility>
 
@@ -67,8 +66,8 @@ void RdrpModel::FitWithCalibration(const RctDataset& train,
     // Lines 4-6: point estimates, roi*, MC-dropout stds on the
     // calibration set.
     std::vector<double> roi_hat = drp_.PredictRoi(calibration.x);
-    McDropoutStats mc = drp_.PredictMcRoi(calibration.x, config_.mc_passes,
-                                          config_.mc_seed, config_.drp.predict);
+    McDropoutStats mc =
+        drp_.PredictMcRoi(calibration.x, config_.mc_passes, config_.mc_seed);
     roi_star_global_ = BinarySearchRoiStar(calibration, config_.epsilon);
 
     std::vector<double> roi_star;
@@ -122,44 +121,34 @@ void RdrpModel::FitWithCalibration(const RctDataset& train,
              {"mc_passes", config_.mc_passes}});
 }
 
-std::vector<double> RdrpModel::McStdDev(const Matrix& x) const {
-  McDropoutStats mc = drp_.PredictMcRoi(x, config_.mc_passes,
-                                        config_.mc_seed, config_.drp.predict);
-  for (double& s : mc.stddev) s = std::max(s, config_.std_floor);
-  return mc.stddev;
-}
-
-std::vector<double> RdrpModel::PredictRoi(const Matrix& x) const {
-  ROICL_CHECK_MSG(calibrated_, "PredictRoi() before FitWithCalibration()");
+RdrpPrediction RdrpModel::Predict(const Matrix& x) const {
+  ROICL_CHECK_MSG(calibrated_, "Predict() before FitWithCalibration()");
   obs::ScopedSpan span("predict");
   // Algorithm 4, lines 10-12.
-  std::vector<double> roi_hat = drp_.PredictRoi(x);
-  std::vector<double> r_hat = McStdDev(x);
-  // One load per predict call: a concurrent recalibration swap gives this
-  // whole batch either the old or the new quantile, never a mix.
-  const double q_hat_snapshot = q_hat();
-  std::vector<double> rq(r_hat.size());
-  for (size_t i = 0; i < rq.size(); ++i) rq[i] = r_hat[i] * q_hat_snapshot;
-  return ApplyCalibrationForm(form_, roi_hat, rq);
+  RdrpPrediction prediction;
+  prediction.roi_hat = drp_.PredictRoi(x);
+  prediction.r_hat =
+      drp_.PredictMcRoi(x, config_.mc_passes, config_.mc_seed).stddev;
+  for (double& s : prediction.r_hat) s = std::max(s, config_.std_floor);
+  prediction.q_hat = q_hat();
+  std::vector<double> rq(prediction.r_hat.size());
+  for (size_t i = 0; i < rq.size(); ++i) {
+    rq[i] = prediction.r_hat[i] * prediction.q_hat;
+  }
+  prediction.roi = ApplyCalibrationForm(form_, prediction.roi_hat, rq);
+  return prediction;
 }
 
-std::vector<metrics::Interval> RdrpModel::PredictIntervals(
-    const Matrix& x) const {
-  ROICL_CHECK_MSG(calibrated_,
-                  "PredictIntervals() before FitWithCalibration()");
-  obs::ScopedSpan span("predict_intervals");
-  std::vector<double> roi_hat = drp_.PredictRoi(x);
-  std::vector<double> r_hat = McStdDev(x);
-  // One quantile snapshot for the whole batch (never-tearing swap
-  // contract), handed to the backend that shapes the intervals. A bare
-  // Load() outside the pipeline artifact has no backend and keeps the
-  // historical split arithmetic.
-  const double q_hat_snapshot = q_hat();
+std::vector<metrics::Interval> RdrpModel::Intervals(
+    const Matrix& x, const RdrpPrediction& prediction) const {
+  // A bare Load() outside the pipeline artifact has no backend and keeps
+  // the historical split arithmetic.
   std::vector<metrics::Interval> intervals =
       backend_ != nullptr
-          ? backend_->Intervals(x, roi_hat, r_hat, q_hat_snapshot)
-          : ConformalIntervals(roi_hat, r_hat, q_hat_snapshot,
-                               config_.std_floor);
+          ? backend_->Intervals(x, prediction.roi_hat, prediction.r_hat,
+                                prediction.q_hat)
+          : ConformalIntervals(prediction.roi_hat, prediction.r_hat,
+                               prediction.q_hat, config_.std_floor);
   if (config_.clip_to_unit) {
     for (metrics::Interval& interval : intervals) {
       interval.lo = std::max(interval.lo, 0.0);
@@ -176,12 +165,6 @@ Status RdrpModel::Save(std::ostream& out) const {
   out << q_hat() << ' ' << roi_star_global_ << ' '
       << static_cast<int>(form_) << '\n';
   return drp_.Save(out);
-}
-
-Status RdrpModel::SaveToFile(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return Status::IoError("cannot open for writing: " + path);
-  return Save(out);
 }
 
 StatusOr<RdrpModel> RdrpModel::Load(std::istream& in,
@@ -214,13 +197,6 @@ StatusOr<RdrpModel> RdrpModel::Load(std::istream& in,
   model.form_ = static_cast<CalibrationForm>(form);
   model.calibrated_ = true;
   return model;
-}
-
-StatusOr<RdrpModel> RdrpModel::LoadFromFile(const std::string& path,
-                                            const RdrpConfig& config) {
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot open for reading: " + path);
-  return Load(in, config);
 }
 
 McCalibratedModel::McCalibratedModel(std::unique_ptr<DirectRoiModel> base,

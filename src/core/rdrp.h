@@ -47,6 +47,22 @@ struct RdrpConfig {
   /// produced bits, only throughput.
 };
 
+/// One rDRP inference step on a feature matrix (Algorithm 4, lines
+/// 10-12): the ingredients of Eq. (3) and the calibrated score of Eq. (5),
+/// all from one point forward, one MC-dropout sweep and one load of the
+/// live quantile. The interval of Eq. (4) is shaped from the same values
+/// by RdrpModel::Intervals.
+struct RdrpPrediction {
+  /// Uncalibrated DRP point estimates.
+  std::vector<double> roi_hat;
+  /// MC-dropout stds, floored at RdrpConfig::std_floor.
+  std::vector<double> r_hat;
+  /// The conformal quantile this prediction used.
+  double q_hat = 0.0;
+  /// Calibrated scores: the selected form over roi_hat and r_hat * q_hat.
+  std::vector<double> roi;
+};
+
 /// Robust Direct ROI Prediction (the paper's contribution, Algorithm 4).
 ///
 /// Pipeline: train DRP on the training set; on the calibration set obtain
@@ -72,24 +88,28 @@ class RdrpModel : public uplift::RoiModel {
   void FitWithCalibration(const RctDataset& train,
                           const RctDataset& calibration) override;
 
-  /// Calibrated point estimates (the rDRP score used for ranking).
-  std::vector<double> PredictRoi(const Matrix& x) const override;
-  std::string name() const override { return "rDRP"; }
+  /// The one inference step: one point forward, one MC-dropout sweep and
+  /// one load of q_hat. A concurrent set_q_hat gives the whole batch
+  /// either the old or the new quantile, never a mix.
+  RdrpPrediction Predict(const Matrix& x) const;
 
   /// Rigorous conformal intervals C(x) with coverage >= 1 - alpha against
-  /// the convergence-point target (Eq. 4).
-  std::vector<metrics::Interval> PredictIntervals(const Matrix& x) const;
+  /// the convergence-point target (Eq. 4), shaped by the interval backend
+  /// from `prediction` (which must be Predict(x)) and clipped to [0, 1]
+  /// when configured.
+  std::vector<metrics::Interval> Intervals(
+      const Matrix& x, const RdrpPrediction& prediction) const;
 
-  /// Uncalibrated DRP point estimates (for ablations/diagnostics).
-  std::vector<double> PredictPointRoi(const Matrix& x) const {
-    return drp_.PredictRoi(x);
+  /// Calibrated point estimates (the rDRP score used for ranking):
+  /// Predict(x).roi.
+  std::vector<double> PredictRoi(const Matrix& x) const override {
+    return Predict(x).roi;
   }
+  std::string name() const override { return "rDRP"; }
 
-  /// Floored MC-dropout stds r_hat(x) — the uncertainty scalar Eq. (3)
-  /// divides by. Exposed so the online recalibrator can recompute
-  /// conformal scores on a feedback window.
-  std::vector<double> PredictMcStd(const Matrix& x) const {
-    return McStdDev(x);
+  /// Intervals(x, Predict(x)).
+  std::vector<metrics::Interval> PredictIntervals(const Matrix& x) const {
+    return Intervals(x, Predict(x));
   }
 
   const DrpModel& drp() const { return drp_; }
@@ -105,8 +125,8 @@ class RdrpModel : public uplift::RoiModel {
   }
 
   /// The interval backend fitted alongside the model (nullptr only for a
-  /// bare Load() outside the pipeline artifact, where PredictIntervals
-  /// falls back to the split arithmetic). The backend holds
+  /// bare Load() outside the pipeline artifact, where Intervals falls
+  /// back to the split arithmetic). The backend holds
   /// calibration-time state; the live swappable quantile is q_hat_.
   const IntervalBackend* interval_backend() const { return backend_.get(); }
 
@@ -117,10 +137,9 @@ class RdrpModel : public uplift::RoiModel {
 
   double q_hat() const { return q_hat_.load(std::memory_order_relaxed); }
   /// Atomically swaps the conformal quantile in place — the online
-  /// recalibration hook. A concurrent PredictRoi/PredictIntervals sees
-  /// either the old or the new value, never a torn mix: each predict call
-  /// loads q_hat exactly once. Requires a calibrated model and a finite,
-  /// non-negative quantile.
+  /// recalibration hook. A concurrent Predict sees either the old or the
+  /// new value, never a torn mix: it loads q_hat exactly once. Requires a
+  /// calibrated model and a finite, non-negative quantile.
   void set_q_hat(double q_hat);
   double roi_star() const { return roi_star_global_; }
   CalibrationForm selected_form() const { return form_; }
@@ -130,15 +149,10 @@ class RdrpModel : public uplift::RoiModel {
   /// conformal quantile q_hat, roi*, and the selected form — so the
   /// deployed service only loads and predicts. Requires calibrated().
   Status Save(std::ostream& out) const;
-  Status SaveToFile(const std::string& path) const;
   static StatusOr<RdrpModel> Load(std::istream& in,
                                   const RdrpConfig& config = RdrpConfig());
-  static StatusOr<RdrpModel> LoadFromFile(
-      const std::string& path, const RdrpConfig& config = RdrpConfig());
 
  private:
-  std::vector<double> McStdDev(const Matrix& x) const;
-
   RdrpConfig config_;
   DrpModel drp_;
   bool calibrated_ = false;

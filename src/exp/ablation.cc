@@ -76,9 +76,9 @@ AblationRow RunAblationSetting(DatasetId dataset, Setting setting,
   {
     std::vector<double> dr_calib = dr->PredictRoi(calib.x);
     core::McDropoutStats mc_calib =
-        dr->ScoreMc(calib.x, hp.mc_passes, hp.seed + 11).value();
+        dr->direct_model()->PredictMcRoi(calib.x, hp.mc_passes, hp.seed + 11);
     core::McDropoutStats mc_test =
-        dr->ScoreMc(test.x, hp.mc_passes, hp.seed + 12).value();
+        dr->direct_model()->PredictMcRoi(test.x, hp.mc_passes, hp.seed + 12);
     // q_hat = 1: MC only, no conformal scaling (DR's non-convex loss
     // rules out the Algorithm-2 convergence point, per §V-B).
     row.dr_mc = EvaluateCalibrated(dr_calib, mc_calib.stddev, dr_test,
@@ -94,9 +94,9 @@ AblationRow RunAblationSetting(DatasetId dataset, Setting setting,
 
   std::vector<double> drp_calib = drp->PredictRoi(calib.x);
   core::McDropoutStats mc_calib =
-      drp->ScoreMc(calib.x, hp.mc_passes, hp.seed + 13).value();
+      drp->direct_model()->PredictMcRoi(calib.x, hp.mc_passes, hp.seed + 13);
   core::McDropoutStats mc_test =
-      drp->ScoreMc(test.x, hp.mc_passes, hp.seed + 14).value();
+      drp->direct_model()->PredictMcRoi(test.x, hp.mc_passes, hp.seed + 14);
 
   row.drp_mc = EvaluateCalibrated(drp_calib, mc_calib.stddev, drp_test,
                                   mc_test.stddev, /*q_hat=*/1.0, calib,

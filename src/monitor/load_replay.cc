@@ -242,6 +242,10 @@ StatusOr<LoadReplayResult> RunLoadReplay(pipeline::Pipeline pipeline,
     return Status::InvalidArgument(
         "burst_factor and oversized_factor must be positive");
   }
+  if (Status valid = pipeline::ValidateServiceOptions(options.service);
+      !valid.ok()) {
+    return valid;
+  }
   if (stream.n() == 0) {
     return Status::InvalidArgument("empty load-replay stream");
   }

@@ -74,12 +74,13 @@ StatusOr<std::unique_ptr<ServingMonitor>> ServingMonitor::FromCalibration(
 
   obs::ScopedSpan span("monitor.from_calibration");
   // Recompute the calibration-time conformity ingredients through the
-  // pipeline: the uncalibrated points, the MC stds, the backend's aux
-  // channels, roi*, and from them the conformity scores that anchor both
-  // the score-drift channel and the label-free recalibration fallback.
-  StatusOr<pipeline::RoiScorer::ConformalInputs> inputs =
-      pipeline->ConformalScoreInputs(calibration.x);
-  if (!inputs.ok()) return inputs.status();
+  // pipeline: one prediction gives the uncalibrated points, the MC stds
+  // and the served scores; with the backend's aux channels and roi* they
+  // give the conformity scores that anchor both the score-drift channel
+  // and the label-free recalibration fallback.
+  StatusOr<core::RdrpPrediction> prediction =
+      pipeline->PredictRdrp(calibration.x);
+  if (!prediction.ok()) return prediction.status();
   std::vector<double> aux_lo;
   std::vector<double> aux_hi;
   if (Status status = backend->StreamAux(calibration.x, &aux_lo, &aux_hi);
@@ -92,11 +93,10 @@ StatusOr<std::unique_ptr<ServingMonitor>> ServingMonitor::FromCalibration(
   calibration_scores.reserve(AsSize(calibration.n()));
   for (int i = 0; i < calibration.n(); ++i) {
     calibration_scores.push_back(backend->StreamScore(
-        inputs.value().roi_hat[AsSize(i)], inputs.value().r_hat[AsSize(i)],
-        roi_star, aux_lo[AsSize(i)], aux_hi[AsSize(i)]));
+        prediction.value().roi_hat[AsSize(i)],
+        prediction.value().r_hat[AsSize(i)], roi_star, aux_lo[AsSize(i)],
+        aux_hi[AsSize(i)]));
   }
-  StatusOr<std::vector<double>> served = pipeline->Score(calibration.x);
-  if (!served.ok()) return served.status();
 
   DriftDetector detector(options.thresholds);
   std::vector<int> feature_channels;
@@ -110,7 +110,7 @@ StatusOr<std::unique_ptr<ServingMonitor>> ServingMonitor::FromCalibration(
   }
   int score_channel = detector.AddChannel(
       "served_score", ReferenceDistribution::FromSamples(
-                          served.value(), options.drift_bins));
+                          prediction.value().roi, options.drift_bins));
   int conformal_channel = detector.AddChannel(
       "conformal_score", ReferenceDistribution::FromSamples(
                              calibration_scores, options.drift_bins));
@@ -274,20 +274,20 @@ Status ServingMonitor::AddOutcomes(const RctDataset& feedback) {
   obs::ScopedSpan span("monitor.add_outcomes");
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
 
-  // One MC sweep over the feedback rows gives the conformity
-  // ingredients; they are cached on each window sample so recalibration
+  // One prediction over the feedback rows gives the conformity
+  // ingredients and the quantile they are checked against; the
+  // ingredients are cached on each window sample so recalibration
   // replays them without touching the feature matrix again.
-  StatusOr<pipeline::RoiScorer::ConformalInputs> inputs =
-      pipeline_->ConformalScoreInputs(feedback.x);
-  if (!inputs.ok()) return inputs.status();
+  StatusOr<core::RdrpPrediction> prediction =
+      pipeline_->PredictRdrp(feedback.x);
+  if (!prediction.ok()) return prediction.status();
+  const core::RdrpPrediction& inputs = prediction.value();
   std::vector<double> aux_lo;
   std::vector<double> aux_hi;
   if (Status status = backend_->StreamAux(feedback.x, &aux_lo, &aux_hi);
       !status.ok()) {
     return status;
   }
-  StatusOr<double> q_hat = pipeline_->conformal_quantile();
-  if (!q_hat.ok()) return q_hat.status();
 
   for (int i = 0; i < feedback.n(); ++i) {
     FeedbackSample sample;
@@ -295,8 +295,8 @@ Status ServingMonitor::AddOutcomes(const RctDataset& feedback) {
     sample.treatment = feedback.treatment[AsSize(i)];
     sample.y_revenue = feedback.y_revenue[AsSize(i)];
     sample.y_cost = feedback.y_cost[AsSize(i)];
-    sample.roi_hat = inputs.value().roi_hat[AsSize(i)];
-    sample.r_hat = inputs.value().r_hat[AsSize(i)];
+    sample.roi_hat = inputs.roi_hat[AsSize(i)];
+    sample.r_hat = inputs.r_hat[AsSize(i)];
     sample.aux_lo = aux_lo[AsSize(i)];
     sample.aux_hi = aux_hi[AsSize(i)];
     recalibrator_.AddOutcome(std::move(sample));
@@ -317,13 +317,13 @@ Status ServingMonitor::AddOutcomes(const RctDataset& feedback) {
   scores.reserve(AsSize(feedback.n()));
   for (int i = 0; i < feedback.n(); ++i) {
     scores.push_back(backend_->StreamScore(
-        inputs.value().roi_hat[AsSize(i)], inputs.value().r_hat[AsSize(i)],
-        roi_star, aux_lo[AsSize(i)], aux_hi[AsSize(i)]));
+        inputs.roi_hat[AsSize(i)], inputs.r_hat[AsSize(i)], roi_star,
+        aux_lo[AsSize(i)], aux_hi[AsSize(i)]));
   }
 
   // Feed the conformal-score drift channel (feedback stream is sparse;
   // serial accumulation is fine) and the coverage/ACI state. A sample is
-  // covered exactly when its score is within the live quantile —
+  // covered exactly when its score is within the prediction's quantile —
   // equivalent to roi* landing inside the served interval.
   WindowCounts counts = detector_.MakeCounts(conformal_channel_);
   for (double score : scores) {
@@ -331,7 +331,7 @@ Status ServingMonitor::AddOutcomes(const RctDataset& feedback) {
   }
   detector_.Commit(conformal_channel_, counts);
   for (double score : scores) {
-    bool covered = score <= q_hat.value();
+    bool covered = score <= inputs.q_hat;
     if (slo_ != nullptr) slo_->RecordCoverage(covered);
     recalibrator_.ObserveCoverage(covered);
     if (tracker_.Observe(covered)) {

@@ -92,28 +92,89 @@ StatusOr<core::McDropoutStats> Pipeline::ScoreMc(const Matrix& x,
                                                  int passes,
                                                  uint64_t seed) const {
   if (Status status = CheckFeatures(x); !status.ok()) return status;
-  return scorer_->ScoreMc(x, passes, seed);
+  const core::DirectRoiModel* direct = scorer().direct_model();
+  if (direct == nullptr) {
+    return Status::FailedPrecondition(
+        "scorer '" + scorer_name_ +
+        "' does not support MC-dropout uncertainty");
+  }
+  if (!direct->fitted()) {
+    return Status::FailedPrecondition("scorer not fitted");
+  }
+  return direct->PredictMcRoi(x, passes, seed);
+}
+
+StatusOr<const core::RdrpModel*> Pipeline::Rdrp() const {
+  const core::RdrpModel* rdrp = scorer().rdrp_model();
+  if (rdrp == nullptr) {
+    return Status::FailedPrecondition(
+        "scorer '" + scorer_name_ +
+        "' carries no conformal quantile or intervals");
+  }
+  if (!rdrp->calibrated()) {
+    return Status::FailedPrecondition("scorer not calibrated");
+  }
+  return rdrp;
 }
 
 StatusOr<std::vector<metrics::Interval>> Pipeline::ScoreIntervals(
     const Matrix& x) const {
-  if (Status status = CheckFeatures(x); !status.ok()) return status;
-  return scorer_->ScoreIntervals(x);
+  StatusOr<core::RdrpPrediction> prediction = PredictRdrp(x);
+  if (!prediction.ok()) return prediction.status();
+  return Intervals(x, prediction.value());
 }
 
-StatusOr<RoiScorer::ConformalInputs> Pipeline::ConformalScoreInputs(
-    const Matrix& x) const {
+StatusOr<core::RdrpPrediction> Pipeline::PredictRdrp(const Matrix& x) const {
   if (Status status = CheckFeatures(x); !status.ok()) return status;
-  return scorer_->ConformalScoreInputs(x);
+  StatusOr<const core::RdrpModel*> rdrp = Rdrp();
+  if (!rdrp.ok()) return rdrp.status();
+  return rdrp.value()->Predict(x);
+}
+
+StatusOr<std::vector<metrics::Interval>> Pipeline::Intervals(
+    const Matrix& x, const core::RdrpPrediction& prediction) const {
+  if (Status status = CheckFeatures(x); !status.ok()) return status;
+  StatusOr<const core::RdrpModel*> rdrp = Rdrp();
+  if (!rdrp.ok()) return rdrp.status();
+  const size_t rows = static_cast<size_t>(x.rows());
+  if (prediction.roi_hat.size() != rows || prediction.r_hat.size() != rows) {
+    return Status::InvalidArgument(
+        "prediction has " + std::to_string(prediction.roi_hat.size()) +
+        " rows but the feature matrix has " + std::to_string(rows));
+  }
+  return rdrp.value()->Intervals(x, prediction);
+}
+
+StatusOr<double> Pipeline::conformal_quantile() const {
+  StatusOr<const core::RdrpModel*> rdrp = Rdrp();
+  if (!rdrp.ok()) return rdrp.status();
+  return rdrp.value()->q_hat();
+}
+
+Status Pipeline::SetConformalQuantile(double q_hat) {
+  if (StatusOr<const core::RdrpModel*> rdrp = Rdrp(); !rdrp.ok()) {
+    return rdrp.status();
+  }
+  if (!std::isfinite(q_hat) || q_hat < 0.0) {
+    return Status::InvalidArgument(
+        "conformal quantile must be finite and non-negative");
+  }
+  scorer_->rdrp_model()->set_q_hat(q_hat);
+  return Status::Ok();
+}
+
+const core::IntervalBackend* Pipeline::interval_backend() const {
+  const core::RdrpModel* rdrp = scorer().rdrp_model();
+  return rdrp != nullptr ? rdrp->interval_backend() : nullptr;
 }
 
 Status Pipeline::RebindIntervalBackend(const std::string& name,
                                        const RctDataset* calibration) {
-  if (!scorer_->has_conformal_quantile()) {
+  if (!has_conformal_quantile()) {
     return Status::FailedPrecondition(
         "scorer '" + scorer_name_ + "' has no interval state to rebind");
   }
-  const core::IntervalBackend* current = scorer_->interval_backend();
+  const core::IntervalBackend* current = interval_backend();
   if (current == nullptr) {
     return Status::FailedPrecondition(
         "pipeline carries no interval backend");
@@ -127,23 +188,22 @@ Status Pipeline::RebindIntervalBackend(const std::string& name,
     // Full recalibration: the same ingredients FitWithCalibration fed the
     // original backend (point estimates, MC stds, the Algorithm-2
     // convergence point), so rebinding on the training-time calibration
-    // set reproduces the would-have-been-trained backend exactly.
-    StatusOr<RoiScorer::ConformalInputs> inputs =
-        ConformalScoreInputs(calibration->x);
-    if (!inputs.ok()) return inputs.status();
+    // set reproduces the would-have-been-trained backend exactly. The
+    // same prediction's calibrated scores are the weight reference.
+    StatusOr<core::RdrpPrediction> prediction = PredictRdrp(calibration->x);
+    if (!prediction.ok()) return prediction.status();
     double roi_star =
         core::BinarySearchRoiStar(*calibration, core::RdrpConfig().epsilon);
-    std::vector<double> roi_star_vec(inputs.value().roi_hat.size(),
+    std::vector<double> roi_star_vec(prediction.value().roi_hat.size(),
                                      roi_star);
     if (Status status = target->Calibrate(
-            calibration->x, inputs.value().roi_hat, inputs.value().r_hat,
-            roi_star_vec, hp_.alpha, core::kDefaultStdFloor);
+            calibration->x, prediction.value().roi_hat,
+            prediction.value().r_hat, roi_star_vec, hp_.alpha,
+            core::kDefaultStdFloor);
         !status.ok()) {
       return status;
     }
-    StatusOr<std::vector<double>> served = Score(calibration->x);
-    if (!served.ok()) return served.status();
-    target->SetWeightReference(std::move(served).value());
+    target->SetWeightReference(std::move(prediction).value().roi);
   } else {
     // Stateless conversion from the persisted calibration state; only
     // legal between backends sharing Eq.(3) score semantics.
@@ -152,7 +212,8 @@ Status Pipeline::RebindIntervalBackend(const std::string& name,
     }
   }
   double q_hat = target->q_hat();
-  if (Status status = scorer_->AdoptIntervalBackend(std::move(target));
+  if (Status status =
+          scorer_->rdrp_model()->AdoptIntervalBackend(std::move(target));
       !status.ok()) {
     return status;
   }
@@ -174,7 +235,7 @@ Status Pipeline::Save(std::ostream& out) const {
   out << "provenance.git " << provenance_.git_describe << '\n';
   out << "provenance.tool " << provenance_.tool << '\n';
   out << "hyperparams " << SerializeHyperparams(hp_) << '\n';
-  const core::IntervalBackend* backend = scorer_->interval_backend();
+  const core::IntervalBackend* backend = interval_backend();
   if (backend != nullptr) {
     out << "interval_backend " << backend->name() << '\n';
     if (Status status = backend->Save(out); !status.ok()) return status;
@@ -297,15 +358,18 @@ StatusOr<Pipeline> Pipeline::Load(std::istream& in) {
   // Interval state and scorer capability must pair up exactly: a
   // conformal scorer without its interval section (or a point scorer
   // carrying one) is a corrupt or mispaired artifact.
+  core::RdrpModel* rdrp = scorer.value()->rdrp_model();
   if (backend != nullptr) {
-    if (Status status =
-            scorer.value()->AdoptIntervalBackend(std::move(backend));
-        !status.ok()) {
+    Status adopted =
+        rdrp == nullptr
+            ? Status::FailedPrecondition("scorer carries no interval state")
+            : rdrp->AdoptIntervalBackend(std::move(backend));
+    if (!adopted.ok()) {
       return Status::InvalidArgument(
           "artifact carries interval state but scorer '" + scorer_name +
-          "' cannot adopt it: " + status.message());
+          "' cannot adopt it: " + adopted.message());
     }
-  } else if (scorer.value()->has_conformal_quantile()) {
+  } else if (rdrp != nullptr) {
     return Status::InvalidArgument(
         "conformal scorer '" + scorer_name +
         "' artifact is missing its interval-backend section");

@@ -46,18 +46,32 @@ class Pipeline {
                                   const RctDataset* calibration,
                                   Provenance provenance);
 
-  /// Point ROI scores. `Score`, `ScoreMc`, `ScoreIntervals` and
-  /// `ConformalScoreInputs` reject a feature-dimension mismatch or a
-  /// non-finite feature with kInvalidArgument instead of scoring it.
+  /// Point ROI scores. Every scoring entry point below rejects a
+  /// feature-dimension mismatch or a non-finite feature with
+  /// kInvalidArgument instead of scoring it.
   StatusOr<std::vector<double>> Score(const Matrix& x) const;
 
-  /// MC-dropout uncertainty via the scorer (when supported).
+  /// MC-dropout mean/std of the predicted ROI over `passes` stochastic
+  /// forward passes (direct networks only). Deterministic given `seed`
+  /// at any engine setting.
   StatusOr<core::McDropoutStats> ScoreMc(const Matrix& x, int passes,
                                          uint64_t seed) const;
 
-  /// Conformal intervals via the scorer (when supported).
+  /// Conformal intervals with coverage >= 1 - alpha (rDRP's Eq. 4):
+  /// Intervals(x, PredictRdrp(x)).
   StatusOr<std::vector<metrics::Interval>> ScoreIntervals(
       const Matrix& x) const;
+
+  /// One rDRP inference step: roi_hat, the floored MC std r_hat, the q_hat
+  /// snapshot and the calibrated scores (equal to Score(x)), from one
+  /// sweep. The uncalibrated roi_hat and r_hat are the Eq. (3) score
+  /// ingredients a feedback window recomputes conformal scores from.
+  StatusOr<core::RdrpPrediction> PredictRdrp(const Matrix& x) const;
+
+  /// The intervals of `prediction`, which must be PredictRdrp(x), with no
+  /// second sweep.
+  StatusOr<std::vector<metrics::Interval>> Intervals(
+      const Matrix& x, const core::RdrpPrediction& prediction) const;
 
   /// The input check every scoring entry point runs first: `x` has
   /// feature_dim() columns and every feature is finite. Otherwise
@@ -66,25 +80,17 @@ class Pipeline {
   Status CheckFeatures(const Matrix& x) const;
 
   /// Conformal-quantile plumbing for the online recalibrator (rDRP
-  /// only): read / atomically swap q_hat, and recompute Eq. (3) score
-  /// ingredients on a feedback window. All forward to the scorer.
+  /// only): read, or atomically swap, q_hat. Concurrent scoring sees
+  /// either the old or the new value, never a torn mix.
   bool has_conformal_quantile() const {
-    return scorer_->has_conformal_quantile();
+    return scorer().rdrp_model() != nullptr;
   }
-  StatusOr<double> conformal_quantile() const {
-    return scorer_->conformal_quantile();
-  }
-  Status SetConformalQuantile(double q_hat) {
-    return scorer_->SetConformalQuantile(q_hat);
-  }
-  StatusOr<RoiScorer::ConformalInputs> ConformalScoreInputs(
-      const Matrix& x) const;
+  StatusOr<double> conformal_quantile() const;
+  Status SetConformalQuantile(double q_hat);
 
   /// The interval backend behind this pipeline's conformal intervals
   /// (nullptr for point scorers without interval state).
-  const core::IntervalBackend* interval_backend() const {
-    return scorer_->interval_backend();
-  }
+  const core::IntervalBackend* interval_backend() const;
 
   /// Replaces the interval backend with a freshly built `name` backend
   /// ("split" / "weighted" / "cqr") and seeds the live serving quantile
@@ -121,6 +127,9 @@ class Pipeline {
 
  private:
   Pipeline() = default;
+
+  /// The rDRP model, or FailedPrecondition for a point scorer.
+  StatusOr<const core::RdrpModel*> Rdrp() const;
 
   std::string scorer_name_;
   int feature_dim_ = -1;

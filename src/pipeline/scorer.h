@@ -2,101 +2,40 @@
 #define ROICL_PIPELINE_SCORER_H_
 
 #include <istream>
-#include <memory>
 #include <ostream>
-#include <vector>
 
 #include "common/status.h"
 #include "core/direct_model.h"
-#include "core/interval_backend.h"
-#include "metrics/coverage.h"
+#include "core/rdrp.h"
 #include "nn/batch_forward.h"
 #include "uplift/roi_model.h"
 
 namespace roicl::pipeline {
 
 /// The polymorphic scoring interface every benchmark method is served
-/// through: a point ROI estimate (inherited from uplift::RoiModel), plus
-/// two optional capabilities — MC-dropout uncertainty and conformal
-/// intervals — and serialization hooks so a fitted scorer can travel
-/// inside a Pipeline artifact.
+/// through: a point ROI estimate (inherited from uplift::RoiModel), typed
+/// access to the model behind it, and serialization hooks so a fitted
+/// scorer can travel inside a Pipeline artifact.
 ///
-/// Capability discovery is explicit (`has_mc_uncertainty()` /
-/// `has_intervals()`): callers branch on the capability, never on the
-/// concrete type, which is what lets exp/, the CLI and the serving layer
-/// dispatch through the registry with no per-family switch chains.
+/// The accessors replace per-capability virtuals: a direct network offers
+/// MC-dropout uncertainty, and rDRP additionally offers its conformal
+/// quantile and intervals. Pipeline reads them and is the one place that
+/// checks input features and fitted state, so exp/, the CLI and the
+/// serving layer dispatch through the registry with no per-family switch
+/// chains.
 class RoiScorer : public uplift::RoiModel {
  public:
-  /// True when ScoreMc is implemented (direct neural models only: TPM
-  /// cannot, because the std of a ratio is not the ratio of stds).
-  virtual bool has_mc_uncertainty() const { return false; }
-
-  /// MC-dropout mean/std of the predicted ROI over `passes` stochastic
-  /// forward passes. Deterministic given `seed` at any engine setting.
-  virtual StatusOr<core::McDropoutStats> ScoreMc(const Matrix& /*x*/,
-                                                 int /*passes*/,
-                                                 uint64_t /*seed*/) const {
-    return Status::FailedPrecondition(
-        "scorer does not support MC-dropout uncertainty");
-  }
-
-  /// True when ScoreIntervals is implemented (conformal methods only).
-  virtual bool has_intervals() const { return false; }
-
-  /// Conformal intervals with coverage >= 1 - alpha (rDRP's Eq. 4).
-  virtual StatusOr<std::vector<metrics::Interval>> ScoreIntervals(
-      const Matrix& /*x*/) const {
-    return Status::FailedPrecondition(
-        "scorer does not produce conformal intervals");
-  }
-
-  /// True when the scorer carries a swappable conformal quantile q_hat
-  /// (rDRP). Implies has_intervals().
-  virtual bool has_conformal_quantile() const { return false; }
-
-  /// The live conformal quantile (requires has_conformal_quantile()).
-  virtual StatusOr<double> conformal_quantile() const {
-    return Status::FailedPrecondition(
-        "scorer does not carry a conformal quantile");
-  }
-
-  /// Atomically swaps the conformal quantile — the online-recalibration
-  /// hook. Concurrent Score/ScoreIntervals calls see either the old or
-  /// the new value, never a torn mix.
-  virtual Status SetConformalQuantile(double /*q_hat*/) {
-    return Status::FailedPrecondition(
-        "scorer does not carry a conformal quantile");
-  }
-
-  /// The Eq. (3) score ingredients on fresh rows: the *uncalibrated*
-  /// point estimate roi_hat and the floored MC std r_hat, so a feedback
-  /// window can recompute conformal scores |roi* - roi_hat| / r_hat
-  /// exactly as calibration did. Requires has_conformal_quantile().
-  struct ConformalInputs {
-    std::vector<double> roi_hat;
-    std::vector<double> r_hat;
-  };
-  virtual StatusOr<ConformalInputs> ConformalScoreInputs(
-      const Matrix& /*x*/) const {
-    return Status::FailedPrecondition(
-        "scorer does not carry a conformal quantile");
-  }
-
-  /// The interval backend shaping this scorer's conformal intervals, or
-  /// nullptr for scorers without interval state. Non-null exactly when
-  /// the pipeline artifact carries an interval-backend section.
-  virtual const core::IntervalBackend* interval_backend() const {
+  /// The direct network (DR, DRP, RankNet, and rDRP's uncalibrated DRP),
+  /// or nullptr for the TPM family: the std of a ratio is not the ratio
+  /// of stds, so TPM has no MC-dropout uncertainty.
+  virtual const core::DirectRoiModel* direct_model() const {
     return nullptr;
   }
 
-  /// Installs a calibrated interval backend (artifact load or rebind).
-  /// The live serving quantile is not touched — swapping it stays the
-  /// caller's explicit SetConformalQuantile decision.
-  virtual Status AdoptIntervalBackend(
-      std::unique_ptr<core::IntervalBackend> /*backend*/) {
-    return Status::FailedPrecondition(
-        "scorer does not carry interval state");
-  }
+  /// The calibrated rDRP model, or nullptr for point scorers. The mutable
+  /// overload lets the pipeline swap q_hat and adopt interval backends.
+  virtual const core::RdrpModel* rdrp_model() const { return nullptr; }
+  virtual core::RdrpModel* rdrp_model() { return nullptr; }
 
   /// Re-points the batched prediction engine (row-block size, thread
   /// count). Throughput knob only — scores are bit-identical across

@@ -1,10 +1,12 @@
 #include "pipeline/service.h"
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/macros.h"
 #include "common/math_util.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -34,8 +36,37 @@ std::string TraceTag(bool tracing, uint64_t trace_id) {
 
 }  // namespace
 
+Status ValidateServiceOptions(
+    const ServiceOptions& options,
+    const std::map<std::string, std::string>& names) {
+  auto out_of_range = [&](const std::string& key, int64_t value,
+                          const char* range) {
+    auto name = names.find(key);
+    return Status::InvalidArgument(
+        (name == names.end() ? key : name->second) + " must be " + range +
+        ", got " + std::to_string(value));
+  };
+  if (options.max_batch_requests < 1) {
+    return out_of_range("max_batch_requests", options.max_batch_requests,
+                        ">= 1");
+  }
+  if (options.max_queue < 1) {
+    return out_of_range("max_queue", options.max_queue, ">= 1");
+  }
+  if (options.default_deadline_micros < 0) {
+    return out_of_range("default_deadline_micros",
+                        options.default_deadline_micros, ">= 0");
+  }
+  return Status::Ok();
+}
+
 ScoringService::ScoringService(Pipeline pipeline, ServiceOptions options)
-    : pipeline_(std::move(pipeline)), options_(options) {
+    : pipeline_(std::move(pipeline)),
+      options_(std::move(options)),
+      shadow_armed_(options_.shadow_interval_every > 0 &&
+                    pipeline_.has_conformal_quantile()) {
+  const Status valid = ValidateServiceOptions(options_);
+  ROICL_CHECK_MSG(valid.ok(), "%s", valid.message().c_str());
   pipeline_.set_batch_options(options_.engine);
   obs::Info("scoring service up",
             {{"scorer", pipeline_.scorer_name()},
@@ -122,15 +153,6 @@ uint64_t ScoringService::requests_served() const {
   return served_;
 }
 
-Status ScoringService::SetConformalQuantile(double q_hat) {
-  if (!pipeline_.has_conformal_quantile()) {
-    return Status::FailedPrecondition(
-        "served scorer '" + pipeline_.scorer_name() +
-        "' carries no conformal quantile");
-  }
-  return pipeline_.SetConformalQuantile(q_hat);
-}
-
 void ScoringService::Loop() {
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
   obs::Counter* requests = metrics.GetCounter("serve.requests");
@@ -156,10 +178,7 @@ void ScoringService::Loop() {
   obs::TraceCollector& collector = obs::TraceCollector::Global();
   const ExemplarSampler sampler{options_.exemplar_seed,
                                 options_.exemplar_rate};
-  // Shadow conformal-interval cadence; disarmed permanently on the first
-  // "scorer doesn't support intervals" error instead of failing per tick.
-  uint64_t shadow_tick = 0;
-  bool shadow_armed = options_.shadow_interval_every > 0;
+  uint64_t shadow_tick = 0;  // shadow conformal-interval cadence
 
   for (;;) {
     std::vector<Request> batch;
@@ -217,9 +236,24 @@ void ScoringService::Loop() {
             "us"));
         continue;
       }
-      StatusOr<std::vector<double>> result = [&] {
+      // A shadowed request is scored with one PredictRdrp, so its
+      // intervals come from the same sweep and q_hat as its response.
+      const bool shadow =
+          shadow_armed_ &&
+          ++shadow_tick %
+                  static_cast<uint64_t>(options_.shadow_interval_every) ==
+              0;
+      std::optional<core::RdrpPrediction> prediction;
+      StatusOr<std::vector<double>> result =
+          [&]() -> StatusOr<std::vector<double>> {
         obs::ScopedSpan score_span("serve.score", trace_tag);
-        return pipeline_.Score(request.x);
+        if (!shadow) return pipeline_.Score(request.x);
+        StatusOr<core::RdrpPrediction> predicted =
+            pipeline_.PredictRdrp(request.x);
+        if (!predicted.ok()) return predicted.status();
+        prediction = std::move(predicted).value();
+        // The intervals read roi_hat, r_hat and q_hat; roi is the response.
+        return std::move(prediction->roi);
       }();
       const uint64_t scored = obs::MonotonicMicros();
       const uint64_t score_us = scored - dequeued;
@@ -228,13 +262,10 @@ void ScoringService::Loop() {
       if (!result.ok()) {
         errors->Increment();
       } else {
-        if (shadow_armed &&
-            ++shadow_tick %
-                    static_cast<uint64_t>(options_.shadow_interval_every) ==
-                0) {
+        if (prediction.has_value()) {
           obs::ScopedSpan conformal_span("serve.conformal", trace_tag);
           StatusOr<std::vector<metrics::Interval>> intervals =
-              pipeline_.ScoreIntervals(request.x);
+              pipeline_.Intervals(request.x, *prediction);
           if (intervals.ok() && !intervals.value().empty()) {
             double width_sum = 0.0;
             for (const metrics::Interval& iv : intervals.value()) {
@@ -242,10 +273,6 @@ void ScoringService::Loop() {
             }
             interval_width->Set(
                 width_sum / static_cast<double>(intervals.value().size()));
-          } else if (!intervals.ok()) {
-            shadow_armed = false;
-            obs::Warn("shadow interval stage disarmed",
-                      {{"reason", intervals.status().message()}});
           }
           ObserveStage(stage_conformal,
                        static_cast<double>(obs::MonotonicMicros() - scored),

@@ -5,6 +5,8 @@
 #include <deque>
 #include <functional>
 #include <future>
+#include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -48,9 +50,9 @@ struct ServiceOptions {
   /// Engine options applied to the pipeline's scorer (row-block size,
   /// thread count for the batched prediction engine). Throughput only.
   nn::BatchOptions engine;
-  /// Max requests drained per dispatch cycle (micro-batch bound).
+  /// Max requests drained per dispatch cycle (micro-batch bound); >= 1.
   int max_batch_requests = 32;
-  /// Requests queued beyond this are rejected immediately.
+  /// Requests queued beyond this are rejected immediately; >= 1.
   int max_queue = 1024;
   /// Deadline applied to requests that don't carry their own; 0 = none.
   /// A request still queued when its deadline passes fails with
@@ -61,11 +63,14 @@ struct ServiceOptions {
   /// to the stage latency buckets they land in (see ExemplarSampler).
   uint64_t exemplar_seed = 17;
   double exemplar_rate = 0.05;
-  /// Shadow conformal-interval stage: every Nth scored request also runs
-  /// ScoreIntervals under serve.stage.conformal_us and publishes the mean
-  /// interval width to the serve.interval_width gauge. 0 disables. The
-  /// response API is unchanged — this prices the conformal stage and
-  /// surfaces width drift without making every request pay for it.
+  /// Shadow conformal-interval stage: every Nth request to an rDRP
+  /// pipeline is scored with one Pipeline::PredictRdrp, and the intervals
+  /// of that same prediction (same sweep, same q_hat snapshot as the
+  /// response) publish their mean width to the serve.interval_width
+  /// gauge. serve.stage.conformal_us times only the interval shaping; the
+  /// sweep stays in serve.stage.score_us. 0, or a pipeline without a
+  /// conformal quantile, disables it. The response API is unchanged —
+  /// this surfaces width drift without making every request pay for it.
   int shadow_interval_every = 0;
   /// Called on the dispatcher thread after every successfully scored
   /// request, with the request's context (trace ID, stage timings), its
@@ -76,6 +81,15 @@ struct ServiceOptions {
                      const std::vector<double>& scores)>
       on_scored;
 };
+
+/// Range-checks the knobs the dispatcher would otherwise spin or reject
+/// everything on: max_batch_requests >= 1, max_queue >= 1 and
+/// default_deadline_micros >= 0. InvalidArgument names the first knob out
+/// of range by its field name, or by `names[field]` where given (the CLI
+/// passes its flag names).
+Status ValidateServiceOptions(
+    const ServiceOptions& options,
+    const std::map<std::string, std::string>& names = {});
 
 /// Long-lived serving front end: loads a Pipeline once, then serves
 /// Score(batch) requests from a single dispatcher thread that drains the
@@ -103,6 +117,7 @@ struct ServiceOptions {
 /// attach their trace ID to the buckets they land in.
 class ScoringService {
  public:
+  /// CHECKs ValidateServiceOptions(options).
   explicit ScoringService(Pipeline pipeline, ServiceOptions options = {});
   ~ScoringService();
 
@@ -131,7 +146,9 @@ class ScoringService {
   /// the scorer's q_hat is an atomic loaded once per predict call, so a
   /// concurrent request sees either the old or the new quantile, never a
   /// torn mix. Fails when the scorer carries no conformal quantile.
-  Status SetConformalQuantile(double q_hat);
+  Status SetConformalQuantile(double q_hat) {
+    return pipeline_.SetConformalQuantile(q_hat);
+  }
 
  private:
   struct Request {
@@ -146,6 +163,9 @@ class ScoringService {
 
   Pipeline pipeline_;
   ServiceOptions options_;
+  /// Whether the shadow conformal-interval stage runs: fixed at
+  /// construction from the options and the pipeline's scorer.
+  bool shadow_armed_ = false;
 
   mutable Mutex mu_;
   CondVar cv_;

@@ -11,6 +11,7 @@
 #include "campaign/scenario.h"
 #include "campaign/scorer.h"
 #include "common/rng.h"
+#include "core/interval_backend.h"
 #include "core/roi_star.h"
 #include "metrics/coverage.h"
 #include "synth/multi_treatment.h"
@@ -134,43 +135,50 @@ TEST(CampaignRegistry, RosterMatchesCompileTimeNames) {
 }
 
 // campaign-roundtrip: dnc-rdrp
+// Each arm's interval backend travels with it: a reloaded cqr arm that
+// fell back to split arithmetic would keep its scores but change every
+// interval.
 TEST(CampaignRoundtrip, DncRdrpSaveLoadPredictIsBitwise) {
   Splits splits = MakeSplits("criteo", 1500, 600, 400);
-  CampaignScorerConfig config = FastConfig();
-  config.rdrp.drp.train.epochs = 4;
-  config.rdrp.drp.restarts = 1;
-  StatusOr<std::unique_ptr<KArmScorer>> scorer =
-      CampaignScorerRegistry::Global().Create("dnc-rdrp", config);
-  ASSERT_TRUE(scorer.ok());
-  scorer.value()->FitWithCalibration(splits.train, splits.calibration);
+  for (const char* backend_name : core::kIntervalBackendNames) {
+    SCOPED_TRACE(backend_name);
+    CampaignScorerConfig config = FastConfig();
+    config.rdrp.drp.train.epochs = 4;
+    config.rdrp.drp.restarts = 1;
+    config.rdrp.interval_backend = backend_name;
+    StatusOr<std::unique_ptr<KArmScorer>> scorer =
+        CampaignScorerRegistry::Global().Create("dnc-rdrp", config);
+    ASSERT_TRUE(scorer.ok());
+    scorer.value()->FitWithCalibration(splits.train, splits.calibration);
 
-  std::stringstream stream;
-  ASSERT_TRUE(scorer.value()->Save(stream).ok());
-  StatusOr<std::unique_ptr<KArmScorer>> loaded =
-      CampaignScorerRegistry::Global().Load("dnc-rdrp", stream, config);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    std::stringstream stream;
+    ASSERT_TRUE(scorer.value()->Save(stream).ok());
+    StatusOr<std::unique_ptr<KArmScorer>> loaded =
+        CampaignScorerRegistry::Global().Load("dnc-rdrp", stream, config);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
 
-  std::vector<std::vector<double>> want =
-      scorer.value()->PredictRoiPerArm(splits.test.x);
-  std::vector<std::vector<double>> got =
-      loaded.value()->PredictRoiPerArm(splits.test.x);
-  ASSERT_EQ(want.size(), got.size());
-  for (size_t k = 0; k < want.size(); ++k) {
-    ASSERT_EQ(want[k].size(), got[k].size());
-    for (size_t i = 0; i < want[k].size(); ++i) {
-      EXPECT_EQ(want[k][i], got[k][i]) << "arm " << k << " row " << i;
+    std::vector<std::vector<double>> want =
+        scorer.value()->PredictRoiPerArm(splits.test.x);
+    std::vector<std::vector<double>> got =
+        loaded.value()->PredictRoiPerArm(splits.test.x);
+    ASSERT_EQ(want.size(), got.size());
+    for (size_t k = 0; k < want.size(); ++k) {
+      ASSERT_EQ(want[k].size(), got[k].size());
+      for (size_t i = 0; i < want[k].size(); ++i) {
+        EXPECT_EQ(want[k][i], got[k][i]) << "arm " << k << " row " << i;
+      }
     }
-  }
-  std::vector<std::vector<metrics::Interval>> want_iv =
-      scorer.value()->PredictIntervalsPerArm(splits.test.x);
-  std::vector<std::vector<metrics::Interval>> got_iv =
-      loaded.value()->PredictIntervalsPerArm(splits.test.x);
-  ASSERT_EQ(want_iv.size(), got_iv.size());
-  for (size_t k = 0; k < want_iv.size(); ++k) {
-    ASSERT_EQ(want_iv[k].size(), got_iv[k].size());
-    for (size_t i = 0; i < want_iv[k].size(); ++i) {
-      EXPECT_EQ(want_iv[k][i].lo, got_iv[k][i].lo);
-      EXPECT_EQ(want_iv[k][i].hi, got_iv[k][i].hi);
+    std::vector<std::vector<metrics::Interval>> want_iv =
+        scorer.value()->PredictIntervalsPerArm(splits.test.x);
+    std::vector<std::vector<metrics::Interval>> got_iv =
+        loaded.value()->PredictIntervalsPerArm(splits.test.x);
+    ASSERT_EQ(want_iv.size(), got_iv.size());
+    for (size_t k = 0; k < want_iv.size(); ++k) {
+      ASSERT_EQ(want_iv[k].size(), got_iv[k].size());
+      for (size_t i = 0; i < want_iv[k].size(); ++i) {
+        EXPECT_EQ(want_iv[k][i].lo, got_iv[k][i].lo);
+        EXPECT_EQ(want_iv[k][i].hi, got_iv[k][i].hi);
+      }
     }
   }
 }
@@ -212,6 +220,26 @@ TEST(CampaignRoundtrip, LoadRejectsCorruptStreams) {
   std::stringstream bad_magic("roicl-karm-ranknet-v9\n");
   EXPECT_FALSE(CampaignScorerRegistry::Global()
                    .Load("dnc-ranknet", bad_magic, {})
+                   .ok());
+  // v1 blobs carry no interval backends, so their arms cannot serve the
+  // intervals they were calibrated for: a version error, not a fallback.
+  std::stringstream v1("roicl-dnc-rdrp-v1\n1\nroicl-rdrp-v1\n");
+  StatusOr<std::unique_ptr<KArmScorer>> old_version =
+      CampaignScorerRegistry::Global().Load("dnc-rdrp", v1, {});
+  ASSERT_FALSE(old_version.ok());
+  EXPECT_NE(old_version.status().message().find("version"),
+            std::string::npos)
+      << old_version.status().ToString();
+  // An arm's backend section cut off after its header.
+  std::stringstream truncated(
+      "roicl-dnc-rdrp-v2\n2\nsplit\nroicl-ivb-split-v1\n0.1 0.0001 1 3 0\n"
+      "0.5\n");
+  EXPECT_FALSE(CampaignScorerRegistry::Global()
+                   .Load("dnc-rdrp", truncated, {})
+                   .ok());
+  std::stringstream unknown_backend("roicl-dnc-rdrp-v2\n1\njackknife\n");
+  EXPECT_FALSE(CampaignScorerRegistry::Global()
+                   .Load("dnc-rdrp", unknown_backend, {})
                    .ok());
 }
 

@@ -1,6 +1,7 @@
 #!/bin/bash
 # End-to-end smoke test of the roicl CLI: generate -> train -> predict ->
-# evaluate -> allocate. Run by ctest with the build dir as argument.
+# evaluate -> allocate, through pipeline artifacts. Run by ctest with the
+# build dir as argument.
 set -euo pipefail
 BUILD_DIR="$1"
 WORK=$(mktemp -d)
@@ -10,28 +11,28 @@ CLI="$BUILD_DIR/tools/roicl"
 $CLI generate --dataset criteo --n 2000 --seed 1 --out $WORK/train.csv
 $CLI generate --dataset criteo --n 600 --seed 2 --out $WORK/calib.csv
 $CLI generate --dataset criteo --n 800 --seed 3 --out $WORK/test.csv
-$CLI train --model rdrp --train $WORK/train.csv --calib $WORK/calib.csv \
-    --epochs 10 --restarts 1 --out $WORK/model.rdrp
-$CLI predict --model-type rdrp --model $WORK/model.rdrp \
+$CLI train --method rdrp --train $WORK/train.csv --calib $WORK/calib.csv \
+    --epochs 10 --restarts 1 --save-pipeline $WORK/rdrp.pipeline
+$CLI predict --pipeline $WORK/rdrp.pipeline \
     --data $WORK/test.csv --out $WORK/scores.csv
 [ "$(head -1 $WORK/scores.csv)" = "roi,interval_lo,interval_hi" ]
 [ "$(wc -l < $WORK/scores.csv)" -eq 801 ]
-$CLI evaluate --model-type rdrp --model $WORK/model.rdrp \
+$CLI evaluate --pipeline $WORK/rdrp.pipeline \
     --data $WORK/test.csv | grep -q "AUCC"
-$CLI allocate --model-type rdrp --model $WORK/model.rdrp \
+$CLI allocate --pipeline $WORK/rdrp.pipeline \
     --data $WORK/test.csv --budget-frac 0.2 | grep -q "incr. revenue"
 # drp path too
-$CLI train --model drp --train $WORK/train.csv --epochs 5 --restarts 1 \
-    --out $WORK/model.drp
-$CLI evaluate --model-type drp --model $WORK/model.drp \
+$CLI train --method drp --train $WORK/train.csv --epochs 5 --restarts 1 \
+    --save-pipeline $WORK/drp.pipeline
+$CLI evaluate --pipeline $WORK/drp.pipeline \
     --data $WORK/test.csv | grep -q "AUCC"
 # error paths return non-zero
-if $CLI train --model nonsense --train $WORK/train.csv --out $WORK/x; then
-  echo "expected failure for bad model type"; exit 1
+if $CLI train --method nonsense --train $WORK/train.csv \
+    --save-pipeline $WORK/x; then
+  echo "expected failure for bad method"; exit 1
 fi
-if $CLI evaluate --model-type rdrp --model /nonexistent \
-    --data $WORK/test.csv; then
-  echo "expected failure for missing model"; exit 1
+if $CLI evaluate --pipeline /nonexistent --data $WORK/test.csv; then
+  echo "expected failure for missing pipeline"; exit 1
 fi
 
 # Flag hardening: misspelled and out-of-range flags must be rejected up
@@ -48,22 +49,45 @@ check_rejects() {
     || { echo "missing '$needle' in error for: $*"; cat $WORK/err.txt; exit 1; }
 }
 check_rejects "unknown flag --aplha" \
-  $CLI train --model drp --train $WORK/train.csv --aplha 0.1 --out $WORK/x
+  $CLI train --method drp --train $WORK/train.csv --aplha 0.1 \
+      --save-pipeline $WORK/x
 check_rejects "unknown flag --shifted" \
-  $CLI evaluate --model-type rdrp --model $WORK/model.rdrp \
+  $CLI evaluate --pipeline $WORK/rdrp.pipeline \
       --data $WORK/test.csv --shifted
 check_rejects "--alpha must be in (0, 1)" \
-  $CLI train --model rdrp --train $WORK/train.csv --calib $WORK/calib.csv \
-      --alpha 1.5 --out $WORK/x
+  $CLI train --method rdrp --train $WORK/train.csv --calib $WORK/calib.csv \
+      --alpha 1.5 --save-pipeline $WORK/x
 check_rejects "--alpha must be in (0, 1)" \
-  $CLI train --model rdrp --train $WORK/train.csv --calib $WORK/calib.csv \
-      --alpha abc --out $WORK/x
+  $CLI train --method rdrp --train $WORK/train.csv --calib $WORK/calib.csv \
+      --alpha abc --save-pipeline $WORK/x
 check_rejects "--batch-size must be positive" \
-  $CLI predict --model-type rdrp --model $WORK/model.rdrp \
+  $CLI predict --pipeline $WORK/rdrp.pipeline \
       --data $WORK/test.csv --batch-size 0 --out $WORK/x.csv
 check_rejects "--threads must be >= 0" \
-  $CLI predict --model-type rdrp --model $WORK/model.rdrp \
+  $CLI predict --pipeline $WORK/rdrp.pipeline \
       --data $WORK/test.csv --threads -1 --out $WORK/x.csv
+# The raw-model-blob spellings are gone: one artifact, one flag each.
+check_rejects "unknown flag --model" \
+  $CLI train --model rdrp --train $WORK/train.csv --save-pipeline $WORK/x
+check_rejects "unknown flag --out" \
+  $CLI train --method rdrp --train $WORK/train.csv --out $WORK/x
+check_rejects "unknown flag --model-type" \
+  $CLI evaluate --model-type rdrp --pipeline $WORK/rdrp.pipeline \
+      --data $WORK/test.csv
+check_rejects "unknown flag --model" \
+  $CLI allocate --model $WORK/rdrp.pipeline --data $WORK/test.csv
+# Service knobs that would stall the dispatcher or reject every request
+# exit 2 naming the flag. SIGKILL after 60 s turns a hang into a failure
+# (exit 137) instead of a stuck ctest.
+check_rejects "--max-batch must be >= 1" \
+  timeout -s KILL 60 $CLI serve --pipeline $WORK/rdrp.pipeline \
+      --data $WORK/test.csv --out $WORK/x.csv --max-batch 0
+check_rejects "--max-queue must be >= 1" \
+  timeout -s KILL 60 $CLI serve --pipeline $WORK/rdrp.pipeline \
+      --data $WORK/test.csv --out $WORK/x.csv --max-queue 0
+check_rejects "--max-batch must be >= 1" \
+  timeout -s KILL 60 $CLI load-replay --pipeline $WORK/rdrp.pipeline \
+      --calib $WORK/calib.csv --data $WORK/test.csv --max-batch 0
 # A malformed --arm-budgets entry must fail before any training instead
 # of silently running that arm unbounded.
 check_rejects "--arm-budgets entry 'abc'" \
@@ -89,7 +113,7 @@ check_rejects "--batch-size must be an integer" "${rdrp_train[@]}" \
   --batch-size 12x
 check_rejects "--mc-passes must be >= 2" $CLI campaign --mc-passes 1
 # --threads 0 is the documented "shared pool" setting, not an error.
-$CLI predict --model-type rdrp --model $WORK/model.rdrp \
+$CLI predict --pipeline $WORK/rdrp.pipeline \
     --data $WORK/test.csv --threads 0 --out $WORK/threads0.csv
 [ "$(wc -l < $WORK/threads0.csv)" -eq 801 ]
 
@@ -98,8 +122,6 @@ $CLI predict --model-type rdrp --model $WORK/model.rdrp \
 $CLI allocate --streaming --synthetic-rows 200000 --shards 4 --mode dual \
     > $WORK/stream_dual.txt
 grep -q "dual gap" $WORK/stream_dual.txt
-$CLI train --method drp --train $WORK/train.csv --epochs 5 --restarts 1 \
-    --save-pipeline $WORK/drp.pipeline
 $CLI allocate --streaming --pipeline $WORK/drp.pipeline \
     --data $WORK/test.csv > $WORK/stream_csv.txt
 grep -q "incr. revenue" $WORK/stream_csv.txt

@@ -53,8 +53,7 @@ struct SeedOutcome {
 /// Definition 2, evaluated against the shifted population.
 double CoverageAt(const pipeline::Pipeline& pipeline,
                   const RctDataset& data, double q_hat) {
-  pipeline::RoiScorer::ConformalInputs inputs =
-      pipeline.ConformalScoreInputs(data.x).value();
+  core::RdrpPrediction inputs = pipeline.PredictRdrp(data.x).value();
   double roi_star = core::BinarySearchRoiStar(data);
   std::vector<double> scores =
       core::ConformalScores(roi_star, inputs.roi_hat, inputs.r_hat);

@@ -125,7 +125,7 @@ TEST(ConsistencyTest, RdrpIntervalsCenterOnDrpPoints) {
   config.clip_to_unit = false;
   core::RdrpModel rdrp(config);
   rdrp.FitWithCalibration(splits.train, splits.calibration);
-  std::vector<double> point = rdrp.PredictPointRoi(splits.test.x);
+  std::vector<double> point = rdrp.drp().PredictRoi(splits.test.x);
   std::vector<metrics::Interval> intervals =
       rdrp.PredictIntervals(splits.test.x);
   for (size_t i = 0; i < intervals.size(); ++i) {
@@ -140,7 +140,7 @@ TEST(ConsistencyTest, ClippedIntervalsStayInUnitRangeAndContainPoint) {
                                           SmallSizes(), /*seed=*/5);
   core::RdrpModel rdrp(exp::MakeRdrpConfig(FastHp()));  // clipping on
   rdrp.FitWithCalibration(splits.train, splits.calibration);
-  std::vector<double> point = rdrp.PredictPointRoi(splits.test.x);
+  std::vector<double> point = rdrp.drp().PredictRoi(splits.test.x);
   std::vector<metrics::Interval> intervals =
       rdrp.PredictIntervals(splits.test.x);
   for (size_t i = 0; i < intervals.size(); ++i) {

@@ -91,6 +91,18 @@ TEST(LoadReplayTest, ValidatesOptionsAndScorer) {
         RunLoadReplay(TrainSmallRdrp(), calib, empty, SmallOptions());
     EXPECT_FALSE(result.ok());
   }
+  {
+    // A dispatcher that takes zero requests per cycle would spin forever.
+    LoadReplayOptions options = SmallOptions();
+    options.service.max_batch_requests = 0;
+    StatusOr<LoadReplayResult> result =
+        RunLoadReplay(TrainSmallRdrp(), calib, stream, options);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(result.status().message().find("max_batch_requests"),
+              std::string::npos)
+        << result.status().ToString();
+  }
 }
 
 TEST(LoadReplayTest, SmokeRunBreachesSlosAndResolvesExemplarsToFlows) {

@@ -151,8 +151,8 @@ TEST(PipelineRoundTrip, RdrpIntervalsAndMcStatsSurviveReload) {
       pipeline::Pipeline::Train("rDRP", hp, train, &calib, {});
   ASSERT_TRUE(trained.ok()) << trained.status().ToString();
   pipeline::Pipeline pipeline = std::move(trained).value();
-  ASSERT_TRUE(pipeline.scorer().has_intervals());
-  ASSERT_TRUE(pipeline.scorer().has_mc_uncertainty());
+  ASSERT_TRUE(pipeline.has_conformal_quantile());
+  ASSERT_NE(pipeline.scorer().direct_model(), nullptr);
 
   std::vector<metrics::Interval> expected =
       pipeline.ScoreIntervals(test.x).value();
@@ -249,7 +249,9 @@ TEST(PipelineGuards, ScoreRejectsNonFiniteFeatures) {
         pipeline.Score(x).status(),
         pipeline.ScoreMc(x, hp.mc_passes, 7).status(),
         pipeline.ScoreIntervals(x).status(),
-        pipeline.ConformalScoreInputs(x).status()};
+        pipeline.PredictRdrp(x).status(),
+        pipeline.Intervals(x, pipeline.PredictRdrp(test.x).value())
+            .status()};
     for (const Status& status : statuses) {
       ASSERT_FALSE(status.ok());
       EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);

@@ -100,7 +100,7 @@ TEST_F(RdrpTest, WiderAlphaGivesNarrowerIntervals) {
 TEST_F(RdrpTest, CalibrationSelectionAtLeastMatchesRawDrpOnCalibSet) {
   RdrpModel rdrp(FastConfig());
   rdrp.FitWithCalibration(*train_, *calib_);
-  double raw = metrics::Aucc(rdrp.PredictPointRoi(calib_->x), *calib_);
+  double raw = metrics::Aucc(rdrp.drp().PredictRoi(calib_->x), *calib_);
   double calibrated = metrics::Aucc(rdrp.PredictRoi(calib_->x), *calib_);
   EXPECT_GE(calibrated, raw - 0.02)
       << "selected form must not collapse on the selection set";

@@ -19,6 +19,7 @@
 
 #include "common/math_util.h"
 #include "core/interval_backend.h"
+#include "metrics/coverage.h"
 #include "obs/metrics.h"
 #include "pipeline/pipeline.h"
 #include "pipeline/service.h"
@@ -42,6 +43,24 @@ pipeline::Pipeline TrainSmallDrp() {
   return std::move(pipeline::Pipeline::Train("DRP", hp, train,
                                              /*calibration=*/nullptr, {}))
       .value();
+}
+
+pipeline::Pipeline TrainSmallRdrp() {
+  pipeline::Hyperparams hp;
+  hp.neural_epochs = 3;
+  hp.restarts = 1;
+  hp.mc_passes = 4;
+  RctDataset train = Gen(200, 7);
+  RctDataset calib = Gen(120, 8);
+  return std::move(
+             pipeline::Pipeline::Train("rDRP", hp, train, &calib, {}))
+      .value();
+}
+
+double MeanWidth(const std::vector<metrics::Interval>& intervals) {
+  double width_sum = 0.0;
+  for (const metrics::Interval& iv : intervals) width_sum += iv.width();
+  return width_sum / static_cast<double>(intervals.size());
 }
 
 TEST(ScoringService, InterleavedThreadsMatchSerialBitwise) {
@@ -265,6 +284,77 @@ TEST(ScoringService, ConcurrentSubmittersAndDestructorRaceCleanly) {
           << result.status().ToString();
     }
   }
+}
+
+// With the shadow stage on every request, an rDRP request is scored by
+// one PredictRdrp: its response is Pipeline::Score's, and the
+// serve.interval_width it publishes is the mean width of
+// Pipeline::ScoreIntervals on the same matrix, both bit for bit.
+TEST(ScoringService, ShadowStageServesScoresAndWidthOfOnePrediction) {
+  pipeline::Pipeline pipeline = TrainSmallRdrp();
+  constexpr int kRequests = 6;
+  std::vector<Matrix> payloads;
+  std::vector<std::vector<double>> expected;
+  std::vector<double> expected_width;
+  for (int i = 0; i < kRequests; ++i) {
+    RctDataset data = Gen(9 + 7 * i, 300 + static_cast<uint64_t>(i));
+    expected.push_back(pipeline.Score(data.x).value());
+    expected_width.push_back(
+        MeanWidth(pipeline.ScoreIntervals(data.x).value()));
+    payloads.push_back(data.x);
+  }
+
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  metrics.Reset();
+  pipeline::ServiceOptions options;
+  options.engine.batch_size = 8;
+  options.engine.num_threads = 2;
+  options.shadow_interval_every = 1;
+  pipeline::ScoringService service(std::move(pipeline), options);
+  const obs::Gauge* width = metrics.GetGauge("serve.interval_width");
+  for (int i = 0; i < kRequests; ++i) {
+    SCOPED_TRACE(i);
+    StatusOr<std::vector<double>> got = service.Score(payloads[AsSize(i)]);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    const std::vector<double>& want = expected[AsSize(i)];
+    ASSERT_EQ(got.value().size(), want.size());
+    for (size_t r = 0; r < want.size(); ++r) {
+      EXPECT_EQ(got.value()[r], want[r]) << "row " << r;
+    }
+    // The gauge is set before the response resolves.
+    EXPECT_EQ(width->value(), expected_width[AsSize(i)]);
+  }
+  EXPECT_EQ(metrics
+                .GetHistogram("serve.stage.conformal_us",
+                              obs::LatencyMicrosBuckets())
+                ->count(),
+            static_cast<uint64_t>(kRequests));
+  EXPECT_EQ(metrics.GetCounter("serve.errors")->value(), 0u);
+}
+
+// A point scorer has no intervals: asking for the shadow stage leaves it
+// off, and every request is served without an error.
+TEST(ScoringService, ShadowStageOnPointScorerServesWithoutErrors) {
+  pipeline::Pipeline pipeline = TrainSmallDrp();
+  RctDataset data = Gen(20, 77);
+  const std::vector<double> expected = pipeline.Score(data.x).value();
+
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  metrics.Reset();
+  pipeline::ServiceOptions options;
+  options.shadow_interval_every = 1;
+  pipeline::ScoringService service(std::move(pipeline), options);
+  for (int i = 0; i < 5; ++i) {
+    StatusOr<std::vector<double>> got = service.Score(data.x);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got.value(), expected);
+  }
+  EXPECT_EQ(metrics.GetCounter("serve.errors")->value(), 0u);
+  EXPECT_EQ(metrics
+                .GetHistogram("serve.stage.conformal_us",
+                              obs::LatencyMicrosBuckets())
+                ->count(),
+            0u);
 }
 
 // The monitor's quantile swap races live traffic by design: q_hat is an

@@ -119,11 +119,9 @@ TEST_F(ModelSerializeTest, RdrpRoundTripKeepsCalibration) {
   core::RdrpModel model(config);
   model.FitWithCalibration(*train_, *calib_);
 
-  std::string path = ::testing::TempDir() + "/roicl_rdrp.txt";
-  ASSERT_TRUE(model.SaveToFile(path).ok());
-  StatusOr<core::RdrpModel> loaded =
-      core::RdrpModel::LoadFromFile(path, config);
-  std::remove(path.c_str());
+  std::stringstream stream;
+  ASSERT_TRUE(model.Save(stream).ok());
+  StatusOr<core::RdrpModel> loaded = core::RdrpModel::Load(stream, config);
   ASSERT_TRUE(loaded.ok());
 
   EXPECT_DOUBLE_EQ(loaded.value().q_hat(), model.q_hat());

@@ -3,17 +3,15 @@
 // Subcommands:
 //   generate  synthesize an RCT dataset to CSV
 //   methods   list every method registered with the scorer registry
-//   train     fit any registered method on CSV data; save a raw model
-//             blob (--out) and/or a versioned pipeline artifact
-//             (--save-pipeline)
-//   predict   score a CSV with a saved model or pipeline (ROI and, for
+//   train     fit any registered method on CSV data and save a versioned
+//             pipeline artifact (--save-pipeline)
+//   predict   score a CSV with a pipeline artifact (ROI and, for
 //             conformal methods, interval bounds)
-//   score     score a CSV with a pipeline artifact (pipeline-only
-//             spelling of predict, for train-once/serve-many flows)
+//   score     the same as predict (the train-once/serve-many spelling)
 //   serve     run a long-lived ScoringService over a pipeline artifact
 //             and push a CSV through it as micro-batched requests
-//   evaluate  AUCC / Qini of a saved model on labelled CSV data
-//   allocate  greedy C-BTAP budget allocation with a saved model
+//   evaluate  AUCC / Qini of a pipeline artifact on labelled CSV data
+//   allocate  greedy C-BTAP budget allocation with a pipeline artifact
 //   monitor-replay
 //             stream a labelled CSV through a live ScoringService with
 //             covariate shift injected mid-stream; the ServingMonitor
@@ -46,10 +44,9 @@
 //   roicl monitor-replay --pipeline m.pipeline --calib calib.csv
 //       --data test.csv --shift-at 20 --shift-gamma 2.5
 //
-// Legacy spellings stay supported: `train --model rdrp ... --out m.rdrp`
-// writes a raw model blob, and predict/evaluate/allocate accept
-// `--model-type rdrp --model m.rdrp` (resolved through the same
-// registry, so any registered name works, case-insensitively).
+// Methods are named with --method at training time, case-insensitively;
+// every later subcommand reads the method, its hyperparameters and its
+// interval backend from the --pipeline artifact.
 //
 // Observability flags (all subcommands):
 //   --log-level LEVEL   debug|info|warn|error|off (default info; the
@@ -243,17 +240,15 @@ void RejectUnknownFlags(const std::string& command, const Flags& flags) {
   static const std::map<std::string, std::set<std::string>> kPerCommand = {
       {"generate", {"dataset", "n", "seed", "shifted", "out"}},
       {"methods", {}},
-      {"train", {"method", "model", "train", "calib", "save-pipeline",
-                 "out"}},
-      {"predict", {"pipeline", "model-type", "model", "data", "out"}},
+      {"train", {"method", "train", "calib", "save-pipeline"}},
+      {"predict", {"pipeline", "data", "out"}},
       {"score", {"pipeline", "data", "out", "interval-backend"}},
       {"serve", {"pipeline", "data", "out", "max-batch", "max-queue",
                  "deadline-micros", "request-rows", "interval-backend"}},
-      {"evaluate", {"pipeline", "model-type", "model", "data"}},
+      {"evaluate", {"pipeline", "data"}},
       {"allocate",
-       {"pipeline", "model-type", "model", "data", "budget-frac",
-        "streaming", "mode", "shards", "memory-cap-mb", "chunk-rows",
-        "synthetic-rows"}},
+       {"pipeline", "data", "budget-frac", "streaming", "mode", "shards",
+        "memory-cap-mb", "chunk-rows", "synthetic-rows"}},
       {"campaign",
        {"dataset", "arms", "arm-budgets", "budget-frac", "mode", "scorer",
         "n-train", "n-calib", "n-test", "shards", "memory-cap-mb"}},
@@ -603,6 +598,21 @@ void ValidateHyperparamFlags(const std::string& command, const Flags& flags) {
   }
 }
 
+/// Runs the service's option range check with the CLI's flag names, so a
+/// knob that would stall the dispatcher (--max-batch 0) or reject every
+/// request (--max-queue 0) exits 2 naming its flag.
+void ValidateServiceFlagsOrDie(const pipeline::ServiceOptions& options) {
+  static const std::map<std::string, std::string> kFlagNames = {
+      {"max_batch_requests", "--max-batch"},
+      {"max_queue", "--max-queue"},
+      {"default_deadline_micros", "--deadline-micros"}};
+  Status valid = pipeline::ValidateServiceOptions(options, kFlagNames);
+  if (!valid.ok()) {
+    std::fprintf(stderr, "%s\n", valid.message().c_str());
+    std::exit(2);
+  }
+}
+
 nn::BatchOptions BatchOptionsFromFlags(const Flags& flags) {
   nn::BatchOptions opts;
   opts.batch_size = flags.GetInt("batch-size", opts.batch_size);
@@ -683,17 +693,8 @@ int CmdMethods(const Flags& /*flags*/) {
 }
 
 int CmdTrain(const Flags& flags) {
-  // --method is the canonical spelling; --model is the legacy alias.
-  std::string method =
-      ResolveMethodOrDie(flags.Get("method", flags.Get("model", "rdrp")));
-  bool save_pipeline = flags.Has("save-pipeline");
-  bool save_raw = flags.Has("out");
-  if (!save_pipeline && !save_raw) {
-    std::fprintf(stderr,
-                 "train needs --save-pipeline PATH (versioned artifact) "
-                 "and/or --out PATH (raw model blob)\n");
-    return 2;
-  }
+  std::string method = ResolveMethodOrDie(flags.Get("method", "rdrp"));
+  std::string path = flags.Require("save-pipeline");
   RctDataset train = LoadCsvOrDie(flags.Require("train"));
   RctDataset calib;
   const RctDataset* calib_ptr = nullptr;
@@ -719,100 +720,45 @@ int CmdTrain(const Flags& flags) {
     std::fprintf(stderr, "%s\n", trained.status().ToString().c_str());
     return 1;
   }
-  pipeline::Pipeline pipeline = std::move(trained).value();
-
-  if (save_pipeline) {
-    std::string path = flags.Get("save-pipeline");
-    Status status = pipeline.SaveToFile(path);
-    if (!status.ok()) {
-      std::fprintf(stderr, "%s\n", status.ToString().c_str());
-      return 1;
-    }
-    std::printf("trained %s on %d samples -> pipeline %s\n",
-                method.c_str(), train.n(), path.c_str());
+  if (Status status = trained.value().SaveToFile(path); !status.ok()) {
+    std::fprintf(stderr, "%s\n", status.ToString().c_str());
+    return 1;
   }
-  if (save_raw) {
-    std::string path = flags.Get("out");
-    std::ofstream out(path);
-    if (!out) {
-      std::fprintf(stderr, "cannot open %s\n", path.c_str());
-      return 1;
-    }
-    Status status = pipeline.scorer().SaveModel(out);
-    if (!status.ok() || !out) {
-      std::fprintf(stderr, "failed to write %s: %s\n", path.c_str(),
-                   status.ToString().c_str());
-      return 1;
-    }
-    std::printf("trained %s on %d samples -> %s\n", method.c_str(),
-                train.n(), path.c_str());
-  }
+  std::printf("trained %s on %d samples -> pipeline %s\n", method.c_str(),
+              train.n(), path.c_str());
   return 0;
 }
 
-/// Scores from either a pipeline artifact (--pipeline) or a raw model
-/// blob (--model-type NAME --model PATH); intervals are filled when the
-/// scorer supports them.
+/// Scores and, for conformal methods, intervals of one pipeline
+/// prediction.
 struct ScoredBatch {
   std::vector<double> scores;
   std::vector<metrics::Interval> intervals;  // empty for point methods
 };
 
-ScoredBatch ScoreWithModel(const Flags& flags, const Matrix& x) {
+template <typename T>
+T ValueOrDie(StatusOr<T> result) {
+  if (!result.ok()) {
+    std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
+    std::exit(1);
+  }
+  return std::move(result).value();
+}
+
+/// Scores `x` with the --pipeline artifact. An rDRP pipeline runs one
+/// prediction: its scores and its intervals share one MC sweep.
+ScoredBatch ScoreWithPipeline(const Flags& flags, const Matrix& x) {
+  pipeline::Pipeline loaded = LoadPipelineOrDie(flags.Require("pipeline"));
+  MaybeRebindBackendOrDie(flags, &loaded);
+  loaded.set_batch_options(BatchOptionsFromFlags(flags));
   ScoredBatch out;
-  if (flags.Has("pipeline")) {
-    pipeline::Pipeline loaded = LoadPipelineOrDie(flags.Get("pipeline"));
-    MaybeRebindBackendOrDie(flags, &loaded);
-    loaded.set_batch_options(BatchOptionsFromFlags(flags));
-    StatusOr<std::vector<double>> scores = loaded.Score(x);
-    if (!scores.ok()) {
-      std::fprintf(stderr, "%s\n", scores.status().ToString().c_str());
-      std::exit(1);
-    }
-    out.scores = std::move(scores).value();
-    if (loaded.scorer().has_intervals()) {
-      StatusOr<std::vector<metrics::Interval>> intervals =
-          loaded.ScoreIntervals(x);
-      if (!intervals.ok()) {
-        std::fprintf(stderr, "%s\n",
-                     intervals.status().ToString().c_str());
-        std::exit(1);
-      }
-      out.intervals = std::move(intervals).value();
-    }
+  if (!loaded.has_conformal_quantile()) {
+    out.scores = ValueOrDie(loaded.Score(x));
     return out;
   }
-
-  std::string method = ResolveMethodOrDie(flags.Get("model-type", "rdrp"));
-  std::string path = flags.Require("model");
-  StatusOr<std::unique_ptr<pipeline::RoiScorer>> created =
-      pipeline::ScorerRegistry::Global().Create(
-          method, HyperparamsFromFlags(flags));
-  if (!created.ok()) {
-    std::fprintf(stderr, "%s\n", created.status().ToString().c_str());
-    std::exit(1);
-  }
-  std::unique_ptr<pipeline::RoiScorer> scorer = std::move(created).value();
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "cannot open model file %s\n", path.c_str());
-    std::exit(1);
-  }
-  if (Status status = scorer->LoadModel(in); !status.ok()) {
-    std::fprintf(stderr, "failed to load %s: %s\n", path.c_str(),
-                 status.ToString().c_str());
-    std::exit(1);
-  }
-  out.scores = scorer->PredictRoi(x);
-  if (scorer->has_intervals()) {
-    StatusOr<std::vector<metrics::Interval>> intervals =
-        scorer->ScoreIntervals(x);
-    if (!intervals.ok()) {
-      std::fprintf(stderr, "%s\n", intervals.status().ToString().c_str());
-      std::exit(1);
-    }
-    out.intervals = std::move(intervals).value();
-  }
+  core::RdrpPrediction prediction = ValueOrDie(loaded.PredictRdrp(x));
+  out.intervals = ValueOrDie(loaded.Intervals(x, prediction));
+  out.scores = std::move(prediction.roi);
   return out;
 }
 
@@ -838,17 +784,12 @@ int WriteScoresCsv(const std::string& out_path, const ScoredBatch& scored) {
 
 int CmdPredict(const Flags& flags) {
   RctDataset data = LoadCsvOrDie(flags.Require("data"));
-  ScoredBatch scored = ScoreWithModel(flags, data.x);
+  ScoredBatch scored = ScoreWithPipeline(flags, data.x);
   std::string out_path = flags.Require("out");
   if (int rc = WriteScoresCsv(out_path, scored); rc != 0) return rc;
   std::printf("wrote %zu predictions to %s\n", scored.scores.size(),
               out_path.c_str());
   return 0;
-}
-
-int CmdScore(const Flags& flags) {
-  flags.Require("pipeline");  // score is the pipeline-only spelling
-  return CmdPredict(flags);
 }
 
 int CmdServe(const Flags& flags) {
@@ -862,13 +803,14 @@ int CmdServe(const Flags& flags) {
   options.max_batch_requests = flags.GetInt("max-batch", 32);
   options.max_queue = flags.GetInt("max-queue", 1 << 20);
   options.default_deadline_micros = flags.GetInt("deadline-micros", 0);
+  ValidateServiceFlagsOrDie(options);
   int request_rows = flags.GetInt("request-rows", 128);
   if (request_rows <= 0) {
     std::fprintf(stderr, "--request-rows must be positive\n");
     return 2;
   }
 
-  if (loaded.scorer().has_intervals()) {
+  if (loaded.has_conformal_quantile()) {
     obs::Info("serve returns point scores only; use `score --pipeline` "
               "for conformal intervals",
               {{"scorer", loaded.scorer_name()}});
@@ -950,6 +892,7 @@ int CmdLoadReplay(const Flags& flags) {
       flags.GetDouble("exemplar-rate", options.service.exemplar_rate);
   options.service.shadow_interval_every =
       flags.GetInt("shadow-interval-every", 7);
+  ValidateServiceFlagsOrDie(options.service);
   if (flags.Has("slo-spec")) {
     std::string error;
     if (!obs::LoadSloSpecs(flags.Get("slo-spec"), &options.slos, &error)) {
@@ -1017,7 +960,7 @@ int CmdLoadReplay(const Flags& flags) {
 
 int CmdEvaluate(const Flags& flags) {
   RctDataset data = LoadCsvOrDie(flags.Require("data"));
-  ScoredBatch scored = ScoreWithModel(flags, data.x);
+  ScoredBatch scored = ScoreWithPipeline(flags, data.x);
   std::printf("n          : %d\n", data.n());
   std::printf("AUCC       : %.4f\n", metrics::Aucc(scored.scores, data));
   std::printf("Qini (rev) : %.4f\n",
@@ -1062,7 +1005,7 @@ int CmdAllocateStreaming(const Flags& flags) {
                    "to account spend\n");
       return 1;
     }
-    ScoredBatch scored = ScoreWithModel(flags, data.x);
+    ScoredBatch scored = ScoreWithPipeline(flags, data.x);
     true_tau_r = data.true_tau_r;
     source = std::make_unique<alloc::VectorRowSource>(
         std::move(scored.scores), std::move(data.true_tau_c), chunk_rows);
@@ -1127,7 +1070,7 @@ int CmdAllocateStreaming(const Flags& flags) {
 int CmdAllocate(const Flags& flags) {
   if (flags.Has("streaming")) return CmdAllocateStreaming(flags);
   RctDataset data = LoadCsvOrDie(flags.Require("data"));
-  ScoredBatch scored = ScoreWithModel(flags, data.x);
+  ScoredBatch scored = ScoreWithPipeline(flags, data.x);
   if (!data.has_ground_truth()) {
     std::fprintf(stderr,
                  "allocate requires true_tau_c columns (synthetic data) "
@@ -1440,8 +1383,7 @@ int RunCommand(const std::string& command, const Flags& flags) {
   if (command == "generate") return CmdGenerate(flags);
   if (command == "methods") return CmdMethods(flags);
   if (command == "train") return CmdTrain(flags);
-  if (command == "predict") return CmdPredict(flags);
-  if (command == "score") return CmdScore(flags);
+  if (command == "predict" || command == "score") return CmdPredict(flags);
   if (command == "serve") return CmdServe(flags);
   if (command == "evaluate") return CmdEvaluate(flags);
   if (command == "allocate") return CmdAllocate(flags);
