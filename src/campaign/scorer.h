@@ -48,15 +48,15 @@ class KArmScorer {
       const Matrix& x) const;
 
   /// Bitwise-stable serialization: save -> load -> predict must equal the
-  /// fitted model's predictions exactly (enforced per scorer by the
-  /// campaign registry lint's roundtrip-test requirement).
+  /// fitted model's predictions exactly (campaign_pipeline_test runs the
+  /// roundtrip for every name in kCampaignScorerNames).
   virtual Status Save(std::ostream& out) const = 0;
 };
 
 /// The registered K-arm scorer names, in registry (lexicographic) order.
 /// Kept as a compile-time array so tests and the CLI can iterate the
-/// full roster; the campaign registry lint pins it against the
-/// Register() calls in scorer.cc.
+/// full roster; CampaignRegistry.RosterMatchesCompileTimeNames pins it
+/// against the Register() calls in scorer.cc.
 inline constexpr std::array<const char*, 2> kCampaignScorerNames = {
     "dnc-ranknet", "dnc-rdrp"};
 

@@ -23,8 +23,7 @@ obs::Counter* TasksCounter() {
 
 obs::Histogram* TaskLatencyHistogram() {
   static obs::Histogram* histogram =
-      obs::MetricsRegistry::Global().GetHistogram(
-          "threadpool.task_us", obs::LatencyMicrosBuckets());
+      obs::MetricsRegistry::Global().GetHistogram("threadpool.task_us");
   return histogram;
 }
 

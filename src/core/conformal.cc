@@ -40,8 +40,7 @@ double ConformalScoreQuantile(const std::vector<double>& scores,
                               double alpha) {
   obs::ScopedSpan span("conformal.quantile");
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  obs::Histogram* distribution = registry.GetHistogram(
-      "conformal.score", obs::ConformalScoreBuckets());
+  obs::Histogram* distribution = registry.GetHistogram("conformal.score");
   for (double score : scores) distribution->Observe(score);
   registry.GetGauge("conformal.calibration_n")
       ->Set(static_cast<double>(scores.size()));

@@ -25,8 +25,9 @@
 namespace roicl::core {
 
 /// Registered backend names, in registry order. The single source of
-/// truth the `--interval-backend` flag, the artifact manifest and
-/// check_interval_backends.sh validate against.
+/// truth the `--interval-backend` flag and the artifact manifest validate
+/// against; the registry tests (artifact roundtrip, shift replay) run once
+/// per name.
 inline constexpr std::array<const char*, 3> kIntervalBackendNames = {
     "split", "weighted", "cqr"};
 

@@ -25,8 +25,7 @@ McDropoutStats RunMcDropout(nn::Mlp* net, const Matrix& x, int passes,
   stats.stddev.resize(AsSize(n));
 
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  obs::Histogram* batch_latency = registry.GetHistogram(
-      "mc_dropout.batch_us", obs::LatencyMicrosBuckets());
+  obs::Histogram* batch_latency = registry.GetHistogram("mc_dropout.batch_us");
 
   // Each block task owns the accumulators for its rows and applies passes
   // in ascending order; with per-(sample, pass) counter streams this makes

@@ -29,38 +29,12 @@ std::vector<MethodSpec> Table1Methods(const MethodHyperparams& hp) {
   return methods;
 }
 
-MethodSpec TpmSlMethod(const MethodHyperparams& hp) {
-  return RegistryMethod("TPM-SL", hp);
-}
-
-MethodSpec TpmXlMethod(const MethodHyperparams& hp) {
-  return RegistryMethod("TPM-XL", hp);
-}
-
-MethodSpec TpmCfMethod(const MethodHyperparams& hp) {
-  return RegistryMethod("TPM-CF", hp);
-}
-
-MethodSpec TpmNeuralMethod(const MethodHyperparams& hp,
-                           uplift::NeuralCateKind /*kind*/,
-                           const std::string& name) {
-  return RegistryMethod(name, hp);
-}
-
-MethodSpec DrMethod(const MethodHyperparams& hp) {
-  return RegistryMethod("DR", hp);
-}
-
 MethodSpec DrpMethod(const MethodHyperparams& hp) {
   return RegistryMethod("DRP", hp);
 }
 
 MethodSpec RdrpMethod(const MethodHyperparams& hp) {
   return RegistryMethod("rDRP", hp);
-}
-
-MethodSpec RankNetMethod(const MethodHyperparams& hp) {
-  return RegistryMethod("RankNet", hp);
 }
 
 }  // namespace roicl::exp

@@ -46,8 +46,8 @@ inline trees::CausalForestConfig MakeCausalForestConfig(
 /// The ten Table-I method names in the paper's row order, plus the
 /// ranking-objective extension row (RankNet, per "Metalearners for
 /// Ranking Treatment Effects"). This array is the single source of truth
-/// the registry-completeness lint greps: every entry must resolve through
-/// pipeline::ScorerRegistry.
+/// for the row order: pipeline_roundtrip_test checks that it equals
+/// pipeline::ScorerRegistry's roster and that every entry constructs.
 inline constexpr std::array<const char*, 11> kTable1MethodNames = {
     "TPM-SL",     "TPM-XL",        "TPM-CF", "TPM-DragonNet",
     "TPM-TARNet", "TPM-OffsetNet", "TPM-SNet", "DR",
@@ -63,18 +63,10 @@ MethodSpec RegistryMethod(const std::string& name,
 /// through the registry.
 std::vector<MethodSpec> Table1Methods(const MethodHyperparams& hp);
 
-/// Individual factories (used by the ablation and A/B benches). All are
+/// Individual factories (used by the ablation and A/B benches). Both are
 /// registry lookups — no per-family construction chains live here.
-MethodSpec TpmSlMethod(const MethodHyperparams& hp);
-MethodSpec TpmXlMethod(const MethodHyperparams& hp);
-MethodSpec TpmCfMethod(const MethodHyperparams& hp);
-MethodSpec TpmNeuralMethod(const MethodHyperparams& hp,
-                           uplift::NeuralCateKind kind,
-                           const std::string& name);
-MethodSpec DrMethod(const MethodHyperparams& hp);
 MethodSpec DrpMethod(const MethodHyperparams& hp);
 MethodSpec RdrpMethod(const MethodHyperparams& hp);
-MethodSpec RankNetMethod(const MethodHyperparams& hp);
 
 }  // namespace roicl::exp
 

@@ -19,12 +19,6 @@ Matrix::Matrix(std::initializer_list<std::initializer_list<double>> rows)
   }
 }
 
-Matrix Matrix::ColumnVector(const std::vector<double>& values) {
-  Matrix m(static_cast<int>(values.size()), 1);
-  std::copy(values.begin(), values.end(), m.data_.begin());
-  return m;
-}
-
 Matrix Matrix::Identity(int n) {
   Matrix m(n, n);
   for (int i = 0; i < n; ++i) m(i, i) = 1.0;

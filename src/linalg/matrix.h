@@ -26,9 +26,6 @@ class Matrix {
   /// must have equal length. Intended for tests and small fixtures.
   Matrix(std::initializer_list<std::initializer_list<double>> rows);
 
-  /// Builds a single-column matrix from a vector.
-  [[nodiscard]] static Matrix ColumnVector(const std::vector<double>& values);
-
   /// Identity matrix of size n.
   [[nodiscard]] static Matrix Identity(int n);
 

@@ -134,10 +134,6 @@ int DriftDetector::num_channels() const {
   return AsInt(channels_.size());
 }
 
-const std::string& DriftDetector::channel_name(int channel) const {
-  return channels_[AsSize(channel)].name;
-}
-
 WindowCounts DriftDetector::MakeCounts(int channel) const {
   return WindowCounts(channels_[AsSize(channel)].reference.num_bins());
 }

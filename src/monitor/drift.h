@@ -112,7 +112,6 @@ class DriftDetector {
   /// Registers a channel; returns its index.
   int AddChannel(std::string name, ReferenceDistribution reference);
   int num_channels() const;
-  const std::string& channel_name(int channel) const;
 
   /// An empty, correctly sized partial-count buffer for a channel.
   WindowCounts MakeCounts(int channel) const;

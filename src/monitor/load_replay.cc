@@ -371,14 +371,21 @@ StatusOr<LoadReplayResult> RunLoadReplay(pipeline::Pipeline pipeline,
   result.p95_us = ExactQuantile(all_latencies, 0.95);
   result.p99_us = ExactQuantile(all_latencies, 0.99);
 
+  struct StageMetric {
+    const char* stage;
+    obs::HistogramName histogram;
+  };
+  static constexpr StageMetric kStages[] = {
+      {"queue", "serve.stage.queue_us"},
+      {"assemble", "serve.stage.assemble_us"},
+      {"score", "serve.stage.score_us"},
+      {"conformal", "serve.stage.conformal_us"},
+      {"observe", "serve.stage.observe_us"}};
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
-  for (const char* stage :
-       {"queue", "assemble", "score", "conformal", "observe"}) {
-    obs::Histogram* histogram = metrics.GetHistogram(
-        std::string("serve.stage.") + stage + "_us",
-        obs::LatencyMicrosBuckets());
+  for (const StageMetric& stage : kStages) {
+    obs::Histogram* histogram = metrics.GetHistogram(stage.histogram);
     StageBreakdown breakdown;
-    breakdown.stage = stage;
+    breakdown.stage = stage.stage;
     breakdown.count = histogram->count();
     breakdown.p50_us = histogram->ApproxQuantile(0.50);
     breakdown.p99_us = histogram->ApproxQuantile(0.99);

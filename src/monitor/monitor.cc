@@ -1,6 +1,8 @@
 #include "monitor/monitor.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
 #include <utility>
 
 #include "common/macros.h"
@@ -14,10 +16,6 @@
 
 namespace roicl::monitor {
 namespace {
-
-std::vector<double> MonitorLatencyBuckets() {
-  return obs::LatencyMicrosBuckets();
-}
 
 /// Served rows between halvings of the live weight-bin counts — a
 /// first-order exponential forgetting horizon for the likelihood ratio.
@@ -41,10 +39,45 @@ bool SupportsRoiStar(const RctDataset& dataset) {
 
 }  // namespace
 
+Status ValidateMonitorOptions(
+    const MonitorOptions& options,
+    const std::map<std::string, std::string>& names) {
+  std::string failure;  // the first rule broken
+  auto require = [&](const char* key, double value, bool holds,
+                     const char* range) {
+    if (holds || !failure.empty()) return;
+    auto name = names.find(key);
+    char shown[32];
+    std::snprintf(shown, sizeof(shown), "%.17g", value);
+    failure = (name == names.end() ? std::string(key) : name->second) +
+              " must be " + range + ", got " + shown;
+  };
+  require("drift_bins", options.drift_bins, options.drift_bins >= 2,
+          ">= 2");
+  const DriftThresholds& drift = options.thresholds;
+  require("thresholds.psi", drift.psi,
+          std::isfinite(drift.psi) && drift.psi >= 0.0, "finite and >= 0");
+  require("thresholds.ks", drift.ks,
+          std::isfinite(drift.ks) && drift.ks >= 0.0, "finite and >= 0");
+  require("coverage.window", static_cast<double>(options.coverage.window),
+          options.coverage.window >= 1, ">= 1");
+  require("coverage.slack", options.coverage.slack,
+          options.coverage.slack >= 0.0, ">= 0");
+  require("recalibrator.max_window",
+          static_cast<double>(options.recalibrator.max_window),
+          options.recalibrator.max_window >= 1, ">= 1");
+  require("recalibrator.gamma", options.recalibrator.gamma,
+          options.recalibrator.gamma >= 0.0, ">= 0");
+  return failure.empty() ? Status::Ok() : Status::InvalidArgument(failure);
+}
+
 StatusOr<std::unique_ptr<ServingMonitor>> ServingMonitor::FromCalibration(
     const pipeline::Pipeline* pipeline, const RctDataset& calibration,
     MonitorOptions options) {
   ROICL_CHECK(pipeline != nullptr);
+  if (Status valid = ValidateMonitorOptions(options); !valid.ok()) {
+    return valid;
+  }
   if (!pipeline->has_conformal_quantile()) {
     return Status::FailedPrecondition(
         "serving monitor requires a scorer with a conformal quantile "
@@ -235,7 +268,7 @@ void ServingMonitor::ObserveScored(const Matrix& x,
   if (rows_since_eval_ >= options_.window_rows) EvaluateWindowLocked();
 
   obs::MetricsRegistry::Global()
-      .GetHistogram("monitor.update_us", MonitorLatencyBuckets())
+      .GetHistogram("monitor.update_us")
       ->Observe(static_cast<double>(obs::MonotonicMicros() - start_us));
 }
 
@@ -379,8 +412,7 @@ StatusOr<RecalibrationResult> ServingMonitor::MaybeRecalibrate(bool force) {
       ->Set(result.value().q_hat_before);
   metrics.GetGauge("monitor.q_hat_after")
       ->Set(result.value().q_hat_after);
-  metrics
-      .GetHistogram("monitor.recalibrate_us", MonitorLatencyBuckets())
+  metrics.GetHistogram("monitor.recalibrate_us")
       ->Observe(static_cast<double>(obs::MonotonicMicros() - start_us));
   obs::Info("conformal quantile recalibrated",
             {{"q_hat_before", result.value().q_hat_before},

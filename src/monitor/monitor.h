@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -62,6 +63,16 @@ struct MonitorOptions {
   nn::BatchOptions engine;
 };
 
+/// Range-checks the knobs whose consumers would otherwise abort on them,
+/// or never trigger: drift_bins >= 2; both drift thresholds finite and
+/// >= 0; coverage.window and recalibrator.max_window >= 1; coverage.slack
+/// and recalibrator.gamma >= 0. InvalidArgument names the
+/// first knob out of range by its field name, or by `names[field]` where
+/// given (the CLI passes its flag names).
+Status ValidateMonitorOptions(
+    const MonitorOptions& options,
+    const std::map<std::string, std::string>& names = {});
+
 /// See file comment. Thread-safe: all entry points serialize on one
 /// mutex, so the service dispatcher thread, the feedback thread, and an
 /// operator thread calling MaybeRecalibrate may interleave freely.
@@ -72,9 +83,10 @@ class ServingMonitor {
   /// stream, and one for the conformal scores themselves (the most
   /// decision-relevant reference). Requires a pipeline whose scorer
   /// carries a conformal quantile and an interval backend (rDRP loaded
-  /// through the pipeline artifact). Returned by pointer: the
-  /// monitor owns a mutex (and is captured by reference in service
-  /// callbacks), so it is neither movable nor copyable.
+  /// through the pipeline artifact), and options that pass
+  /// ValidateMonitorOptions (InvalidArgument otherwise). Returned by
+  /// pointer: the monitor owns a mutex (and is captured by reference in
+  /// service callbacks), so it is neither movable nor copyable.
   static StatusOr<std::unique_ptr<ServingMonitor>> FromCalibration(
       const pipeline::Pipeline* pipeline, const RctDataset& calibration,
       MonitorOptions options);

@@ -115,52 +115,60 @@ void Histogram::Reset() {
   for (Exemplar& slot : exemplars_) slot = Exemplar{};
 }
 
-std::vector<double> LatencyMicrosBuckets() {
-  return {10.0, 100.0, 1e3, 1e4, 1e5, 1e6, 1e7};
-}
-
-std::vector<double> ConformalScoreBuckets() {
-  std::vector<double> bounds;
-  for (double b = 0.25; b <= 512.0; b *= 2.0) bounds.push_back(b);
-  return bounds;
-}
-
 MetricsRegistry& MetricsRegistry::Global() {
   static MetricsRegistry& registry = *new MetricsRegistry();
   return registry;
 }
 
-Counter* MetricsRegistry::GetCounter(std::string_view name) {
+Counter* MetricsRegistry::GetCounter(CounterName name) {
   MutexLock lock(mutex_);
-  auto it = counters_.find(name);
+  auto it = counters_.find(name.name());
   if (it == counters_.end()) {
-    it = counters_.emplace(std::string(name), std::make_unique<Counter>())
+    it = counters_
+             .emplace(std::string(name.name()), std::make_unique<Counter>())
              .first;
   }
   return it->second.get();
 }
 
-Gauge* MetricsRegistry::GetGauge(std::string_view name) {
+Gauge* MetricsRegistry::GetGauge(GaugeName name) {
   MutexLock lock(mutex_);
-  auto it = gauges_.find(name);
+  auto it = gauges_.find(name.name());
   if (it == gauges_.end()) {
-    it = gauges_.emplace(std::string(name), std::make_unique<Gauge>())
+    it = gauges_.emplace(std::string(name.name()), std::make_unique<Gauge>())
              .first;
   }
   return it->second.get();
 }
 
-Histogram* MetricsRegistry::GetHistogram(std::string_view name,
-                                         std::vector<double> upper_bounds) {
+Histogram* MetricsRegistry::GetHistogram(HistogramName name) {
   MutexLock lock(mutex_);
-  auto it = histograms_.find(name);
+  auto it = histograms_.find(name.name());
   if (it == histograms_.end()) {
+    std::vector<double> bounds(name.bounds().begin(), name.bounds().end());
     it = histograms_
-             .emplace(std::string(name),
-                      std::make_unique<Histogram>(std::move(upper_bounds)))
+             .emplace(std::string(name.name()),
+                      std::make_unique<Histogram>(std::move(bounds)))
              .first;
   }
   return it->second.get();
+}
+
+void PreregisterStandardMetrics() {
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  for (const MetricSpec& row : kStandardMetrics) {
+    switch (row.kind) {
+      case MetricKind::kCounter:
+        registry.GetCounter(CounterName(row));
+        break;
+      case MetricKind::kGauge:
+        registry.GetGauge(GaugeName(row));
+        break;
+      case MetricKind::kHistogram:
+        registry.GetHistogram(HistogramName(row));
+        break;
+    }
+  }
 }
 
 std::string MetricsRegistry::SnapshotJson() const {

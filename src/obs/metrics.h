@@ -7,10 +7,10 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/annotated_mutex.h"
+#include "obs/metric_catalogue.h"
 
 /// \file
 /// Process-wide metrics registry: named counters, gauges, and fixed-bucket
@@ -21,7 +21,8 @@
 /// lifetime of the registry.
 ///
 /// `SnapshotJson()` exports everything as one JSON object; the CLI's
-/// `--metrics-out` writes it to a file on exit.
+/// `--metrics-out` writes it to a file on exit. Instrument names come from
+/// the catalogue in metric_catalogue.h.
 
 namespace roicl::obs {
 
@@ -113,24 +114,17 @@ class Histogram {
   std::vector<Exemplar> exemplars_ ROICL_GUARDED_BY(exemplar_mu_);
 };
 
-/// Canonical bucket layouts shared by instrumentation sites and the CLI's
-/// metric preregistration, so both resolve to identical histograms.
-std::vector<double> LatencyMicrosBuckets();   // 10us .. 10s, decades
-std::vector<double> ConformalScoreBuckets();  // 0.25 .. 512, octaves
-
 class MetricsRegistry {
  public:
   /// The process-wide registry used by all library instrumentation.
   static MetricsRegistry& Global();
 
-  /// Finds or creates the named instrument. For histograms, the bucket
-  /// layout is fixed by whichever call registers the name first; later
-  /// calls return the existing instrument unchanged.
-  Counter* GetCounter(std::string_view name) ROICL_EXCLUDES(mutex_);
-  Gauge* GetGauge(std::string_view name) ROICL_EXCLUDES(mutex_);
-  Histogram* GetHistogram(std::string_view name,
-                          std::vector<double> upper_bounds)
-      ROICL_EXCLUDES(mutex_);
+  /// Finds or creates the named instrument. A string literal converts to
+  /// the name type only when metric_catalogue.h lists it with that kind; a
+  /// histogram is created with its name's bucket bounds.
+  Counter* GetCounter(CounterName name) ROICL_EXCLUDES(mutex_);
+  Gauge* GetGauge(GaugeName name) ROICL_EXCLUDES(mutex_);
+  Histogram* GetHistogram(HistogramName name) ROICL_EXCLUDES(mutex_);
 
   /// {"counters":{...},"gauges":{...},"histograms":{name:
   ///   {"count":N,"sum":S,"bounds":[...],"counts":[...]}}}
@@ -175,6 +169,10 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_
       ROICL_GUARDED_BY(mutex_);
 };
+
+/// Registers every catalogue instrument in the global registry, so a
+/// snapshot carries the full schema (untouched instruments read zero).
+void PreregisterStandardMetrics();
 
 }  // namespace roicl::obs
 

@@ -186,6 +186,8 @@ Status ValidateHyperparams(const Hyperparams& hp,
               " must be " + range + ", got " + FormatDouble(value);
   };
   require("neural_epochs", hp.neural_epochs, hp.neural_epochs >= 1, ">= 1");
+  require("drp_hidden", hp.drp_hidden, hp.drp_hidden >= 0, ">= 0 (0 = auto)");
+  require("restarts", hp.restarts, hp.restarts >= 1, ">= 1");
   require("batch_size", hp.batch_size, hp.batch_size >= 1, ">= 1");
   require("learning_rate", hp.learning_rate,
           std::isfinite(hp.learning_rate) && hp.learning_rate > 0.0,

@@ -99,11 +99,11 @@ std::string SerializeHyperparams(const Hyperparams& hp);
 /// stay loadable when new knobs are added.
 StatusOr<Hyperparams> ParseHyperparams(const std::string& line);
 
-/// Range-checks the knobs whose consumers would otherwise abort on them:
-/// mc_passes >= 2; drp_dropout in [0, 1); neural_epochs, cate_epochs,
-/// batch_size, predict_batch_size, forest_trees and causal_forest_trees
-/// >= 1; learning_rate finite and > 0; predict_threads >= 0; alpha in
-/// (0, 1). InvalidArgument names the first knob out of range by its key,
+/// Range-checks the knobs whose consumers would otherwise abort on them
+/// or silently replace them: mc_passes >= 2; drp_dropout in [0, 1);
+/// neural_epochs, restarts, cate_epochs, batch_size, predict_batch_size,
+/// forest_trees and causal_forest_trees >= 1; drp_hidden >= 0 (0 = auto);
+/// learning_rate finite and > 0; predict_threads >= 0; alpha in (0, 1). InvalidArgument names the first knob out of range by its key,
 /// or by `names[key]` where given (the CLI passes its flag names).
 Status ValidateHyperparams(
     const Hyperparams& hp,

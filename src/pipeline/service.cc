@@ -15,10 +15,6 @@
 namespace roicl::pipeline {
 namespace {
 
-std::vector<double> OccupancyBuckets() {
-  return {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0};
-}
-
 /// Routes a stage latency into its histogram, attaching the request's
 /// trace ID when the request was exemplar-sampled.
 void ObserveStage(obs::Histogram* histogram, double value, bool sampled,
@@ -160,20 +156,16 @@ void ScoringService::Loop() {
       metrics.GetCounter("serve.deadline_exceeded");
   obs::Counter* errors = metrics.GetCounter("serve.errors");
   obs::Gauge* queue_depth = metrics.GetGauge("serve.queue_depth");
-  obs::Histogram* occupancy =
-      metrics.GetHistogram("serve.batch_occupancy", OccupancyBuckets());
-  obs::Histogram* latency = metrics.GetHistogram(
-      "serve.latency_micros", obs::LatencyMicrosBuckets());
-  obs::Histogram* stage_queue = metrics.GetHistogram(
-      "serve.stage.queue_us", obs::LatencyMicrosBuckets());
-  obs::Histogram* stage_assemble = metrics.GetHistogram(
-      "serve.stage.assemble_us", obs::LatencyMicrosBuckets());
-  obs::Histogram* stage_score = metrics.GetHistogram(
-      "serve.stage.score_us", obs::LatencyMicrosBuckets());
-  obs::Histogram* stage_conformal = metrics.GetHistogram(
-      "serve.stage.conformal_us", obs::LatencyMicrosBuckets());
-  obs::Histogram* stage_observe = metrics.GetHistogram(
-      "serve.stage.observe_us", obs::LatencyMicrosBuckets());
+  obs::Histogram* occupancy = metrics.GetHistogram("serve.batch_occupancy");
+  obs::Histogram* latency = metrics.GetHistogram("serve.latency_micros");
+  obs::Histogram* stage_queue = metrics.GetHistogram("serve.stage.queue_us");
+  obs::Histogram* stage_assemble =
+      metrics.GetHistogram("serve.stage.assemble_us");
+  obs::Histogram* stage_score = metrics.GetHistogram("serve.stage.score_us");
+  obs::Histogram* stage_conformal =
+      metrics.GetHistogram("serve.stage.conformal_us");
+  obs::Histogram* stage_observe =
+      metrics.GetHistogram("serve.stage.observe_us");
   obs::Gauge* interval_width = metrics.GetGauge("serve.interval_width");
   obs::TraceCollector& collector = obs::TraceCollector::Global();
   const ExemplarSampler sampler{options_.exemplar_seed,

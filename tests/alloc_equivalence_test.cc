@@ -1,5 +1,7 @@
 #include <algorithm>
 #include <cstdint>
+#include <map>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -9,6 +11,7 @@
 #include "common/math_util.h"
 #include "common/rng.h"
 #include "core/greedy.h"
+#include "obs/metrics.h"
 
 /// \file
 /// The acceptance mechanism for the streaming allocator: property tests
@@ -87,6 +90,49 @@ TEST(StreamingSmoke, DualModeIsFeasibleAndReportsGap) {
   EXPECT_LE(result.spent, 8.0);
   EXPECT_GE(result.dual_gap, -1e-9);
   EXPECT_LE(result.value, result.dual_upper_bound + 1e-9);
+}
+
+/// Every registered counter and gauge whose name starts with `prefix`.
+std::map<std::string, double> MetricFamily(const std::string& prefix) {
+  std::map<std::string, double> family;
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  registry.ForEachCounter([&](const std::string& name, uint64_t value) {
+    if (name.rfind(prefix, 0) == 0) family[name] = static_cast<double>(value);
+  });
+  registry.ForEachGauge([&](const std::string& name, double value) {
+    if (name.rfind(prefix, 0) == 0) family[name] = value;
+  });
+  return family;
+}
+
+// The alloc.* family reports each call. This binary never preregisters,
+// so an instrument is present only if StreamingAllocate writes it.
+TEST(StreamingMetrics, AllocFamilyReportsTheResult) {
+  std::vector<double> roi;
+  std::vector<double> cost;
+  MakeInstance(7, 64, &roi, &cost);
+  StreamingOptions options;
+  options.mode = AllocMode::kDual;
+  options.num_shards = 2;
+  obs::MetricsRegistry::Global().Reset();
+  VectorRowSource source(roi, cost, /*chunk_rows=*/16);
+  StreamingResult result = MustAllocate(&source, 8.0, options);
+  const std::map<std::string, double> expected = {
+      {"alloc.streaming_calls", 1.0},
+      {"alloc.rows_streamed", static_cast<double>(result.rows_streamed)},
+      {"alloc.frontier_evictions",
+       static_cast<double>(result.frontier_evictions)},
+      {"alloc.threshold_overflow",
+       static_cast<double>(result.dual_threshold_overflow)},
+      {"alloc.shards", 2.0},
+      {"alloc.selected", static_cast<double>(result.selected.size())},
+      {"alloc.merge_candidates",
+       static_cast<double>(result.merge_candidates)},
+      {"alloc.peak_memory_bytes",
+       static_cast<double>(result.peak_memory_bytes)},
+      {"alloc.dual_threshold", result.dual_threshold},
+      {"alloc.dual_gap", result.dual_gap}};
+  EXPECT_EQ(MetricFamily("alloc."), expected);
 }
 
 // ---------------------------------------------------------------------

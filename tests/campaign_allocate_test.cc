@@ -2,6 +2,8 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <map>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -12,6 +14,7 @@
 #include "common/math_util.h"
 #include "common/rng.h"
 #include "core/greedy.h"
+#include "obs/metrics.h"
 
 /// \file
 /// Acceptance mechanism for the K-arm campaign allocator: the streaming
@@ -111,6 +114,51 @@ TEST(CampaignSmoke, DualModeCertificateIsSound) {
   }
   EXPECT_GE(dual.dual_gap, -1e-9);
   EXPECT_LE(dual.primal_value, dual.dual_bound + 1e-9);
+}
+
+/// Every registered counter and gauge whose name starts with `prefix`.
+std::map<std::string, double> MetricFamily(const std::string& prefix) {
+  std::map<std::string, double> family;
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  registry.ForEachCounter([&](const std::string& name, uint64_t value) {
+    if (name.rfind(prefix, 0) == 0) family[name] = static_cast<double>(value);
+  });
+  registry.ForEachGauge([&](const std::string& name, double value) {
+    if (name.rfind(prefix, 0) == 0) family[name] = value;
+  });
+  return family;
+}
+
+// The campaign.* streaming family reports each call. This binary never
+// preregisters and runs no scenario (campaign.runs and the scenario
+// gauges are checked in campaign_pipeline_test), so an instrument is
+// present only if StreamingKArmAllocate writes it.
+TEST(CampaignMetrics, StreamingFamilyReportsTheResult) {
+  std::vector<std::vector<double>> roi;
+  std::vector<std::vector<double>> cost;
+  MakeInstance(7, 48, 3, &roi, &cost);
+  KArmBudgets budgets;
+  budgets.global = 10.0;
+  budgets.per_arm = {4.0, 4.0, 4.0};
+  KArmStreamingOptions options;
+  options.num_shards = 2;
+  obs::MetricsRegistry::Global().Reset();
+  VectorKArmRowSource source(roi, cost, /*chunk_rows=*/16);
+  KArmStreamingResult result = MustAllocate(&source, budgets, options);
+  const std::map<std::string, double> expected = {
+      {"campaign.streaming_calls", 1.0},
+      {"campaign.users_streamed", static_cast<double>(result.users_streamed)},
+      {"campaign.frontier_evictions",
+       static_cast<double>(result.frontier_evictions)},
+      {"campaign.arms", 3.0},
+      {"campaign.shards", 2.0},
+      {"campaign.assigned", static_cast<double>(result.selected_pairs.size())},
+      {"campaign.spent", result.spent},
+      {"campaign.merge_candidates",
+       static_cast<double>(result.merge_candidates)},
+      {"campaign.peak_memory_bytes",
+       static_cast<double>(result.peak_memory_bytes)}};
+  EXPECT_EQ(MetricFamily("campaign."), expected);
 }
 
 // ---------------------------------------------------------------------

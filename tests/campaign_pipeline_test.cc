@@ -1,4 +1,6 @@
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -14,6 +16,7 @@
 #include "core/interval_backend.h"
 #include "core/roi_star.h"
 #include "metrics/coverage.h"
+#include "obs/metrics.h"
 #include "synth/multi_treatment.h"
 #include "synth/synthetic_generator.h"
 
@@ -119,9 +122,8 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------
-// Registry roster and bitwise persistence roundtrips (one per scorer —
-// the campaign registry lint requires a marked roundtrip test for every
-// Register() call in scorer.cc).
+// Registry roster and bitwise persistence: one save -> load -> predict
+// roundtrip per name in kCampaignScorerNames.
 // ---------------------------------------------------------------------
 
 TEST(CampaignRegistry, RosterMatchesCompileTimeNames) {
@@ -134,28 +136,42 @@ TEST(CampaignRegistry, RosterMatchesCompileTimeNames) {
       CampaignScorerRegistry::Global().Create("nope", {}).ok());
 }
 
-// campaign-roundtrip: dnc-rdrp
-// Each arm's interval backend travels with it: a reloaded cqr arm that
-// fell back to split arithmetic would keep its scores but change every
-// interval.
-TEST(CampaignRoundtrip, DncRdrpSaveLoadPredictIsBitwise) {
+class CampaignScorerRoundtrip
+    : public ::testing::TestWithParam<const char*> {};
+
+// A scorer with intervals round-trips under every interval backend: each
+// arm's backend travels with it, and a reloaded cqr arm that fell back to
+// split arithmetic would keep its scores but change every interval.
+TEST_P(CampaignScorerRoundtrip, SaveLoadPredictIsBitwise) {
+  const std::string name = GetParam();
   Splits splits = MakeSplits("criteo", 1500, 600, 400);
-  for (const char* backend_name : core::kIntervalBackendNames) {
-    SCOPED_TRACE(backend_name);
-    CampaignScorerConfig config = FastConfig();
-    config.rdrp.drp.train.epochs = 4;
-    config.rdrp.drp.restarts = 1;
-    config.rdrp.interval_backend = backend_name;
+  CampaignScorerConfig config = FastConfig();
+  config.rdrp.drp.train.epochs = 4;
+  config.rdrp.drp.restarts = 1;
+  config.ranknet.train.epochs = 4;
+  StatusOr<std::unique_ptr<KArmScorer>> probe =
+      CampaignScorerRegistry::Global().Create(name, config);
+  ASSERT_TRUE(probe.ok()) << probe.status().ToString();
+  const bool intervals = probe.value()->supports_intervals();
+  std::vector<std::string> backends = {config.rdrp.interval_backend};
+  if (intervals) {
+    backends.assign(core::kIntervalBackendNames.begin(),
+                    core::kIntervalBackendNames.end());
+  }
+  for (const std::string& backend : backends) {
+    SCOPED_TRACE(backend);
+    config.rdrp.interval_backend = backend;
     StatusOr<std::unique_ptr<KArmScorer>> scorer =
-        CampaignScorerRegistry::Global().Create("dnc-rdrp", config);
+        CampaignScorerRegistry::Global().Create(name, config);
     ASSERT_TRUE(scorer.ok());
     scorer.value()->FitWithCalibration(splits.train, splits.calibration);
 
     std::stringstream stream;
     ASSERT_TRUE(scorer.value()->Save(stream).ok());
     StatusOr<std::unique_ptr<KArmScorer>> loaded =
-        CampaignScorerRegistry::Global().Load("dnc-rdrp", stream, config);
+        CampaignScorerRegistry::Global().Load(name, stream, config);
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(loaded.value()->supports_intervals(), intervals);
 
     std::vector<std::vector<double>> want =
         scorer.value()->PredictRoiPerArm(splits.test.x);
@@ -168,6 +184,7 @@ TEST(CampaignRoundtrip, DncRdrpSaveLoadPredictIsBitwise) {
         EXPECT_EQ(want[k][i], got[k][i]) << "arm " << k << " row " << i;
       }
     }
+    if (!intervals) continue;
     std::vector<std::vector<metrics::Interval>> want_iv =
         scorer.value()->PredictIntervalsPerArm(splits.test.x);
     std::vector<std::vector<metrics::Interval>> got_iv =
@@ -183,35 +200,14 @@ TEST(CampaignRoundtrip, DncRdrpSaveLoadPredictIsBitwise) {
   }
 }
 
-// campaign-roundtrip: dnc-ranknet
-TEST(CampaignRoundtrip, DncRankNetSaveLoadPredictIsBitwise) {
-  Splits splits = MakeSplits("criteo", 1500, 600, 400);
-  CampaignScorerConfig config = FastConfig();
-  config.ranknet.train.epochs = 4;
-  StatusOr<std::unique_ptr<KArmScorer>> scorer =
-      CampaignScorerRegistry::Global().Create("dnc-ranknet", config);
-  ASSERT_TRUE(scorer.ok());
-  scorer.value()->FitWithCalibration(splits.train, splits.calibration);
-  EXPECT_FALSE(scorer.value()->supports_intervals());
-
-  std::stringstream stream;
-  ASSERT_TRUE(scorer.value()->Save(stream).ok());
-  StatusOr<std::unique_ptr<KArmScorer>> loaded =
-      CampaignScorerRegistry::Global().Load("dnc-ranknet", stream, config);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-
-  std::vector<std::vector<double>> want =
-      scorer.value()->PredictRoiPerArm(splits.test.x);
-  std::vector<std::vector<double>> got =
-      loaded.value()->PredictRoiPerArm(splits.test.x);
-  ASSERT_EQ(want.size(), got.size());
-  for (size_t k = 0; k < want.size(); ++k) {
-    ASSERT_EQ(want[k].size(), got[k].size());
-    for (size_t i = 0; i < want[k].size(); ++i) {
-      EXPECT_EQ(want[k][i], got[k][i]) << "arm " << k << " row " << i;
-    }
-  }
-}
+INSTANTIATE_TEST_SUITE_P(
+    Registry, CampaignScorerRoundtrip,
+    ::testing::ValuesIn(kCampaignScorerNames),
+    [](const ::testing::TestParamInfo<const char*>& param) {
+      std::string name = param.param;
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
+    });
 
 TEST(CampaignRoundtrip, LoadRejectsCorruptStreams) {
   std::stringstream empty;
@@ -294,8 +290,22 @@ CampaignScenarioConfig SmallScenario() {
 TEST(CampaignScenario, GreedyModeAllocatesWithinBudgets) {
   CampaignScenarioConfig config = SmallScenario();
   config.arm_budget_fractions = {0.2, 0.1};
+  // The scenario's own metrics: NaN sentinels expose a gauge it no longer
+  // sets.
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  const uint64_t runs_before = registry.GetCounter("campaign.runs")->value();
+  registry.GetGauge("campaign.coverage_min")->Set(std::nan(""));
+  registry.GetGauge("campaign.dual_gap")->Set(std::nan(""));
   StatusOr<CampaignScenarioResult> result = RunCampaignScenario(config);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(registry.GetCounter("campaign.runs")->value() - runs_before, 1u);
+  double min_coverage = std::numeric_limits<double>::infinity();
+  for (const CampaignArmReport& arm : result.value().arms) {
+    min_coverage = std::min(min_coverage, arm.coverage.coverage);
+  }
+  EXPECT_EQ(registry.GetGauge("campaign.coverage_min")->value(), min_coverage);
+  EXPECT_EQ(registry.GetGauge("campaign.dual_gap")->value(),
+            result.value().dual_gap);
   EXPECT_TRUE(result.value().has_intervals);
   EXPECT_GT(result.value().assigned, 0);
   EXPECT_LE(result.value().spent, result.value().global_budget);

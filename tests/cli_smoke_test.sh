@@ -112,6 +112,47 @@ check_rejects "--lr must be a number" "${rdrp_train[@]}" --lr abc
 check_rejects "--batch-size must be an integer" "${rdrp_train[@]}" \
   --batch-size 12x
 check_rejects "--mc-passes must be >= 2" $CLI campaign --mc-passes 1
+# Negative hidden widths and zero restarts used to be replaced silently
+# ("auto" and 1).
+check_rejects "--hidden must be >= 0" "${rdrp_train[@]}" --hidden -3
+check_rejects "--restarts must be >= 1" "${rdrp_train[@]}" --restarts 0
+check_rejects "--n must be positive" \
+  $CLI generate --n 0 --out $WORK/x.csv
+# Monitor knobs that used to abort the monitor's construction (exit 134),
+# or, for a NaN drift threshold, to disable detection silently, exit 2
+# naming the flag; a negative count no longer wraps.
+monitor_replay=($CLI monitor-replay --pipeline $WORK/rdrp.pipeline
+                --calib $WORK/calib.csv --data $WORK/test.csv)
+check_rejects "--drift-bins must be >= 2" "${monitor_replay[@]}" \
+  --drift-bins 1
+check_rejects "--psi-threshold must be finite and >= 0" \
+  "${monitor_replay[@]}" --psi-threshold nan
+check_rejects "--coverage-window must be >= 1" "${monitor_replay[@]}" \
+  --coverage-window 0
+check_rejects "--coverage-window must be >= 0" "${monitor_replay[@]}" \
+  --coverage-window -1
+check_rejects "--coverage-slack must be >= 0" "${monitor_replay[@]}" \
+  --coverage-slack -5
+check_rejects "--feedback-window must be >= 1" "${monitor_replay[@]}" \
+  --feedback-window 0
+check_rejects "--aci-gamma must be >= 0" "${monitor_replay[@]}" \
+  --aci-gamma -1
+check_rejects "--window-rows must be >= 0" \
+  $CLI load-replay --pipeline $WORK/rdrp.pipeline --calib $WORK/calib.csv \
+      --data $WORK/test.csv --window-rows -1
+# Artifact consumers read every hyperparameter from the --pipeline
+# artifact, so a training flag there is a typo, not a setting.
+for flag in "--alpha 0.5" "--mc-passes 7" "--epochs 99"; do
+  check_rejects "unknown flag ${flag%% *}" \
+    $CLI evaluate --pipeline $WORK/rdrp.pipeline --data $WORK/test.csv $flag
+done
+check_rejects "unknown flag --mc-passes" \
+  $CLI predict --pipeline $WORK/rdrp.pipeline --data $WORK/test.csv \
+      --out $WORK/x.csv --mc-passes 7
+check_rejects "unknown flag --forest-trees" $CLI campaign --forest-trees 5
+check_rejects "--interval-backend all is only valid for monitor-replay" \
+  $CLI score --pipeline $WORK/rdrp.pipeline --data $WORK/test.csv \
+      --out $WORK/x.csv --interval-backend all
 # --threads 0 is the documented "shared pool" setting, not an error.
 $CLI predict --pipeline $WORK/rdrp.pipeline \
     --data $WORK/test.csv --threads 0 --out $WORK/threads0.csv

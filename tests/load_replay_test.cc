@@ -156,7 +156,10 @@ TEST(LoadReplayTest, SmokeRunBreachesSlosAndResolvesExemplarsToFlows) {
   EXPECT_GT(result.quantile_swaps, 0) << "swap_storm did not race";
   EXPECT_FALSE(result.interrupted);
 
-  // Stage breakdown covers the whole request lane; scoring ran.
+  // Stage breakdown covers the whole request lane, and every
+  // serve.stage.* histogram was written by the service: a stage whose
+  // observe site is gone reads zero here (conformal samples every third
+  // request).
   ASSERT_EQ(result.stages.size(), 5u);
   std::set<std::string> stage_names;
   for (const StageBreakdown& stage : result.stages) {
@@ -166,7 +169,6 @@ TEST(LoadReplayTest, SmokeRunBreachesSlosAndResolvesExemplarsToFlows) {
                              "queue", "assemble", "score", "conformal",
                              "observe"}));
   for (const StageBreakdown& stage : result.stages) {
-    if (stage.stage == "conformal") continue;  // shadow-sampled subset
     EXPECT_GT(stage.count, 0u) << stage.stage;
   }
 

@@ -420,6 +420,40 @@ TEST(ServingMonitor, RequiresConformalScorerAndMatchingDimensions) {
   EXPECT_FALSE(empty.ok());
 }
 
+// Each knob that used to abort the monitor's construction, or to disable
+// drift detection, is refused with an InvalidArgument naming it.
+TEST(ServingMonitor, FromCalibrationRejectsOutOfRangeOptions) {
+  pipeline::Pipeline rdrp = TrainSmallRdrp();
+  RctDataset calib = Gen(150, 53);
+  struct Case {
+    const char* field;
+    void (*apply)(MonitorOptions*);
+  };
+  const Case cases[] = {
+      {"drift_bins", [](MonitorOptions* o) { o->drift_bins = 1; }},
+      {"thresholds.psi",
+       [](MonitorOptions* o) { o->thresholds.psi = std::nan(""); }},
+      {"thresholds.ks", [](MonitorOptions* o) { o->thresholds.ks = -0.1; }},
+      {"coverage.window", [](MonitorOptions* o) { o->coverage.window = 0; }},
+      {"coverage.slack", [](MonitorOptions* o) { o->coverage.slack = -5.0; }},
+      {"recalibrator.max_window",
+       [](MonitorOptions* o) { o->recalibrator.max_window = 0; }},
+      {"recalibrator.gamma",
+       [](MonitorOptions* o) { o->recalibrator.gamma = -1.0; }},
+  };
+  for (const Case& c : cases) {
+    MonitorOptions options;
+    c.apply(&options);
+    StatusOr<std::unique_ptr<ServingMonitor>> monitor =
+        ServingMonitor::FromCalibration(&rdrp, calib, options);
+    ASSERT_FALSE(monitor.ok()) << c.field;
+    EXPECT_EQ(monitor.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(monitor.status().message().rfind(c.field, 0), 0u)
+        << monitor.status().ToString();
+  }
+  EXPECT_TRUE(ServingMonitor::FromCalibration(&rdrp, calib, {}).ok());
+}
+
 TEST(ServingMonitor, DetectsInjectedShiftAndSwapsQuantile) {
   pipeline::Pipeline pipeline = TrainSmallRdrp();
   RctDataset calib = Gen(300, 61);
@@ -624,6 +658,50 @@ TEST(ReplayHarness, DetectsMidStreamShiftAndRecalibrates) {
     EXPECT_EQ(result.batches[AsSize(b)].q_hat, result.q_hat_initial);
   }
 }
+
+// Every registered interval backend serves a shift replay: the artifact
+// is rebound (with the calibration set, so cqr refits) and the replay
+// must detect the shift, recalibrate and keep a finite quantile.
+class BackendReplay : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(BackendReplay, RebindThenShiftReplayRecalibrates) {
+  pipeline::Pipeline pipeline = TrainSmallRdrp();
+  RctDataset calib = Gen(300, 91);
+  RctDataset stream = Gen(900, 92);
+  ASSERT_TRUE(pipeline.RebindIntervalBackend(GetParam(), &calib).ok());
+  ASSERT_NE(pipeline.interval_backend(), nullptr);
+  EXPECT_EQ(pipeline.interval_backend()->name(), GetParam());
+
+  ReplayOptions options;
+  options.batch_rows = 128;
+  options.num_batches = 10;
+  options.shift_at_batch = 5;
+  options.shift_gamma = 3.0;
+  options.monitor.window_rows = 256;
+  options.monitor.thresholds.min_window = 128;
+  options.monitor.thresholds.psi = 0.5;
+  options.monitor.thresholds.ks = 0.4;
+  options.monitor.recalibrator.min_labeled = 200;
+  StatusOr<ReplayResult> replayed =
+      RunReplay(std::move(pipeline), calib, stream, options);
+  ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+  const ReplayResult& result = replayed.value();
+  ASSERT_EQ(result.batches.size(), 10u);
+  EXPECT_GE(result.detect_batch, 5);
+  EXPECT_GE(result.recalibrate_batch, result.detect_batch);
+  EXPECT_TRUE(std::isfinite(result.q_hat_initial));
+  for (const ReplayBatchStat& stat : result.batches) {
+    EXPECT_TRUE(std::isfinite(stat.q_hat)) << "batch " << stat.batch;
+    EXPECT_GE(stat.coverage, 0.0);
+    EXPECT_LE(stat.coverage, 1.0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Registry, BackendReplay, ::testing::ValuesIn(core::kIntervalBackendNames),
+    [](const ::testing::TestParamInfo<const char*>& param) {
+      return std::string(param.param);
+    });
 
 TEST(ReplayHarness, RejectsBadOptions) {
   pipeline::Pipeline pipeline = TrainSmallRdrp();

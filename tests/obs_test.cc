@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <memory>
@@ -361,15 +362,17 @@ TEST(JsonLinesSinkTest, EmitsParseableObjects) {
 
 TEST(MetricsTest, CounterGaugeBasics) {
   MetricsRegistry& registry = MetricsRegistry::Global();
-  Counter* counter = registry.GetCounter("obs_test.counter");
+  Counter* counter =
+      registry.GetCounter(CounterName::Unlisted("obs_test.counter"));
   counter->Reset();
   counter->Increment();
   counter->Increment(41);
   EXPECT_EQ(counter->value(), 42u);
-  EXPECT_EQ(registry.GetCounter("obs_test.counter"), counter)
+  EXPECT_EQ(registry.GetCounter(CounterName::Unlisted("obs_test.counter")),
+            counter)
       << "same name must resolve to the same instrument";
 
-  Gauge* gauge = registry.GetGauge("obs_test.gauge");
+  Gauge* gauge = registry.GetGauge(GaugeName::Unlisted("obs_test.gauge"));
   gauge->Set(2.5);
   EXPECT_DOUBLE_EQ(gauge->value(), 2.5);
   gauge->Set(-1.0);
@@ -419,10 +422,12 @@ TEST(MetricsTest, ApproxQuantileInterpolatesWithinBuckets) {
 
 TEST(MetricsTest, SnapshotJsonCarriesPercentiles) {
   MetricsRegistry& registry = MetricsRegistry::Global();
+  constexpr double kBounds[] = {10.0, 20.0};
+  constexpr double kEmptyBounds[] = {1.0};
   Histogram* histogram = registry.GetHistogram(
-      "obs_test.percentile_histogram", {10.0, 20.0});
-  Histogram* empty = registry.GetHistogram(
-      "obs_test.percentile_empty_histogram", {1.0});
+      HistogramName::Unlisted("obs_test.percentile_histogram", kBounds));
+  Histogram* empty = registry.GetHistogram(HistogramName::Unlisted(
+      "obs_test.percentile_empty_histogram", kEmptyBounds));
   histogram->Reset();
   empty->Reset();
   for (int i = 0; i < 4; ++i) histogram->Observe(5.0);
@@ -448,9 +453,11 @@ TEST(MetricsTest, SnapshotJsonCarriesPercentiles) {
 
 TEST(MetricsTest, ConcurrentUpdatesFromThreadPoolWorkers) {
   MetricsRegistry& registry = MetricsRegistry::Global();
-  Counter* counter = registry.GetCounter("obs_test.concurrent_counter");
+  constexpr double kBounds[] = {10.0, 100.0, 1000.0};
+  Counter* counter = registry.GetCounter(
+      CounterName::Unlisted("obs_test.concurrent_counter"));
   Histogram* histogram = registry.GetHistogram(
-      "obs_test.concurrent_histogram", {10.0, 100.0, 1000.0});
+      HistogramName::Unlisted("obs_test.concurrent_histogram", kBounds));
   counter->Reset();
   histogram->Reset();
 
@@ -473,11 +480,14 @@ TEST(MetricsTest, ConcurrentUpdatesFromThreadPoolWorkers) {
 
 TEST(MetricsTest, SnapshotJsonRoundTrips) {
   MetricsRegistry& registry = MetricsRegistry::Global();
-  registry.GetCounter("obs_test.snapshot_counter")->Reset();
-  registry.GetCounter("obs_test.snapshot_counter")->Increment(7);
-  registry.GetGauge("obs_test.snapshot_gauge")->Set(1.25);
-  Histogram* histogram =
-      registry.GetHistogram("obs_test.snapshot_histogram", {1.0, 2.0});
+  constexpr double kBounds[] = {1.0, 2.0};
+  registry.GetCounter(CounterName::Unlisted("obs_test.snapshot_counter"))
+      ->Reset();
+  registry.GetCounter(CounterName::Unlisted("obs_test.snapshot_counter"))
+      ->Increment(7);
+  registry.GetGauge(GaugeName::Unlisted("obs_test.snapshot_gauge"))->Set(1.25);
+  Histogram* histogram = registry.GetHistogram(
+      HistogramName::Unlisted("obs_test.snapshot_histogram", kBounds));
   histogram->Reset();
   histogram->Observe(1.5);
 
@@ -511,13 +521,13 @@ TEST(MetricsTest, SnapshotJsonRoundTrips) {
 
 TEST(MetricsTest, NonFiniteGaugeStaysParseable) {
   MetricsRegistry& registry = MetricsRegistry::Global();
-  registry.GetGauge("obs_test.inf_gauge")
+  registry.GetGauge(GaugeName::Unlisted("obs_test.inf_gauge"))
       ->Set(std::numeric_limits<double>::infinity());
   JsonValue snapshot;
   ASSERT_TRUE(ParseJson(registry.SnapshotJson(), &snapshot));
   EXPECT_TRUE(std::holds_alternative<std::nullptr_t>(
       snapshot.At("gauges").At("obs_test.inf_gauge").value));
-  registry.GetGauge("obs_test.inf_gauge")->Reset();
+  registry.GetGauge(GaugeName::Unlisted("obs_test.inf_gauge"))->Reset();
 }
 
 // ---------------------------------------------------------------------------
@@ -675,7 +685,8 @@ TEST(ExemplarTest, SampledSetIsThreadCountInvariant) {
   };
   std::vector<std::vector<uint64_t>> runs;
   for (unsigned threads : {1u, 8u}) {
-    Histogram histogram(LatencyMicrosBuckets());
+    Histogram histogram({std::begin(kLatencyMicrosBounds),
+                         std::end(kLatencyMicrosBounds)});
     ThreadPool pool(threads);
     pool.ParallelFor(0, kRequests, [&](int i) {
       uint64_t trace_id = static_cast<uint64_t>(i) + 1;
@@ -707,10 +718,12 @@ TEST(ExemplarTest, SamplerRateZeroNeverSamples) {
 
 TEST(PrometheusTest, TextExpositionCarriesTypesBucketsAndExemplars) {
   MetricsRegistry registry;  // local: keep the global registry pristine
-  registry.GetCounter("prom.test-counter")->Increment(3);
-  registry.GetGauge("prom.test_gauge")->Set(1.5);
-  Histogram* histogram =
-      registry.GetHistogram("prom.test_hist", {10.0, 100.0});
+  constexpr double kBounds[] = {10.0, 100.0};
+  registry.GetCounter(CounterName::Unlisted("prom.test-counter"))
+      ->Increment(3);
+  registry.GetGauge(GaugeName::Unlisted("prom.test_gauge"))->Set(1.5);
+  Histogram* histogram = registry.GetHistogram(
+      HistogramName::Unlisted("prom.test_hist", kBounds));
   histogram->Observe(5.0);
   histogram->Observe(50.0);
   histogram->ObserveWithExemplar(75.0, 42);

@@ -208,6 +208,19 @@ TEST(SloEngineTest, TransitionsFeedTheMetricsRegistry) {
                 breaches_before,
             1u);
   EXPECT_DOUBLE_EQ(registry.GetGauge("slo.worst_state")->value(), 2.0);
+
+  // A breach bar no burn reaches (at most 1 / 0.1 = 10) turns the same
+  // stream into one WARN transition.
+  const uint64_t warns_before =
+      registry.GetCounter("slo.warn_transitions")->value();
+  SloEngine warn_only({MakeSpec("adm", SloKind::kRejectRate, 0.1,
+                                /*short_window=*/4, /*long_window=*/8,
+                                /*warn_burn=*/1.0, /*breach_burn=*/100.0)});
+  for (int i = 0; i < 8; ++i) warn_only.RecordAdmission(false);
+  EXPECT_EQ(registry.GetCounter("slo.warn_transitions")->value() -
+                warns_before,
+            1u);
+  EXPECT_DOUBLE_EQ(registry.GetGauge("slo.worst_state")->value(), 1.0);
 }
 
 TEST(SloEngineTest, VerdictJsonNamesEverySpecAndTheWorstState) {

@@ -94,6 +94,7 @@
 #include "metrics/cost_curve.h"
 #include "metrics/qini.h"
 #include "monitor/load_replay.h"
+#include "monitor/monitor.h"
 #include "monitor/replay.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -203,6 +204,18 @@ class Flags {
     }
     return value;
   }
+  /// A count flag: integer-parsed like GetInt, and a negative value exits 2
+  /// naming the flag instead of wrapping to a huge unsigned count.
+  uint64_t GetCount(const std::string& key, uint64_t fallback) const {
+    if (!Has(key)) return fallback;
+    const int value = GetInt(key, 0);
+    if (value < 0) {
+      std::fprintf(stderr, "--%s must be >= 0, got '%s'\n", key.c_str(),
+                   Get(key).c_str());
+      std::exit(2);
+    }
+    return static_cast<uint64_t>(value);
+  }
   bool Has(const std::string& key) const { return values_.count(key) > 0; }
 
   /// Every parsed flag name, for unknown-flag validation.
@@ -217,64 +230,65 @@ class Flags {
   std::map<std::string, std::string> values_;
 };
 
-/// Subcommands that take the full hyperparameter block.
-const std::set<std::string> kHyperCommands = {"train", "predict", "evaluate",
-                                              "allocate", "campaign"};
-
 /// Rejects any flag outside the subcommand's vocabulary with a one-line
 /// error naming the flag. A silently-ignored typo (`--aplha 0.2`) is far
 /// worse than an exit-2 rejection: the run would proceed with the paper
 /// default and report results for a configuration the user did not ask
-/// for. Unknown subcommands fall through to the usage text in RunCommand.
+/// for. Each subcommand lists exactly the flags it reads; artifact
+/// consumers read every hyperparameter from the --pipeline artifact and
+/// take only the serving knobs. Unknown subcommands fall through to the
+/// usage text in RunCommand.
 void RejectUnknownFlags(const std::string& command, const Flags& flags) {
   static const std::set<std::string> kObservability = {
       "log-level", "log-json", "metrics-out", "metrics-prom", "trace-out"};
-  static const std::set<std::string> kEngine = {"batch-size", "threads"};
-  // Commands that construct scorers accept the full hyperparam block
-  // (HyperparamsFromFlags), which subsumes the engine knobs.
-  static const std::set<std::string> kHyper = {
-      "epochs", "lr", "patience", "hidden", "dropout", "restarts",
-      "cate-epochs", "forest-trees", "forest-depth", "causal-forest-trees",
-      "mc-passes", "alpha", "interval-backend", "seed", "batch-size",
-      "threads"};
   static const std::map<std::string, std::set<std::string>> kPerCommand = {
       {"generate", {"dataset", "n", "seed", "shifted", "out"}},
       {"methods", {}},
-      {"train", {"method", "train", "calib", "save-pipeline"}},
-      {"predict", {"pipeline", "data", "out"}},
-      {"score", {"pipeline", "data", "out", "interval-backend"}},
-      {"serve", {"pipeline", "data", "out", "max-batch", "max-queue",
-                 "deadline-micros", "request-rows", "interval-backend"}},
-      {"evaluate", {"pipeline", "data"}},
+      {"train",
+       {"method", "train", "calib", "save-pipeline", "epochs", "lr",
+        "patience", "hidden", "dropout", "restarts", "cate-epochs",
+        "forest-trees", "forest-depth", "causal-forest-trees", "mc-passes",
+        "alpha", "interval-backend", "seed", "batch-size", "threads"}},
+      {"predict",
+       {"pipeline", "data", "out", "interval-backend", "batch-size",
+        "threads"}},
+      {"score",
+       {"pipeline", "data", "out", "interval-backend", "batch-size",
+        "threads"}},
+      {"serve",
+       {"pipeline", "data", "out", "max-batch", "max-queue",
+        "deadline-micros", "request-rows", "interval-backend", "batch-size",
+        "threads"}},
+      {"evaluate",
+       {"pipeline", "data", "interval-backend", "batch-size", "threads"}},
       {"allocate",
        {"pipeline", "data", "budget-frac", "streaming", "mode", "shards",
-        "memory-cap-mb", "chunk-rows", "synthetic-rows"}},
+        "memory-cap-mb", "chunk-rows", "synthetic-rows", "seed",
+        "interval-backend", "batch-size", "threads"}},
       {"campaign",
        {"dataset", "arms", "arm-budgets", "budget-frac", "mode", "scorer",
-        "n-train", "n-calib", "n-test", "shards", "memory-cap-mb"}},
+        "n-train", "n-calib", "n-test", "shards", "memory-cap-mb", "epochs",
+        "lr", "patience", "hidden", "dropout", "restarts", "mc-passes",
+        "alpha", "interval-backend", "seed", "batch-size", "threads"}},
       {"monitor-replay",
        {"pipeline", "calib", "data", "batch-rows", "num-batches",
         "shift-at", "shift-feature", "shift-gamma", "seed", "window-rows",
         "drift-bins", "psi-threshold", "ks-threshold", "min-window",
         "feedback-window", "min-labeled", "aci-gamma", "coverage-window",
-        "coverage-slack", "recalibrate-every", "interval-backend"}},
+        "coverage-slack", "recalibrate-every", "interval-backend",
+        "batch-size", "threads"}},
       {"load-replay",
        {"pipeline", "calib", "data", "out", "slo-spec", "requests",
         "request-rows", "client-threads", "burst-factor",
         "tight-deadline-micros", "oversized-factor", "swap-storm-swaps",
         "feedback-rows", "seed", "max-batch", "max-queue", "window-rows",
-        "exemplar-rate", "exemplar-seed", "shadow-interval-every"}},
+        "exemplar-rate", "exemplar-seed", "shadow-interval-every",
+        "batch-size", "threads"}},
   };
-  static const std::set<std::string> kEngineCommands = {
-      "score", "serve", "monitor-replay", "load-replay"};
   auto it = kPerCommand.find(command);
   if (it == kPerCommand.end()) return;
   for (const std::string& key : flags.Keys()) {
     if (kObservability.count(key) > 0 || it->second.count(key) > 0) continue;
-    if (kHyperCommands.count(command) > 0 && kHyper.count(key) > 0) continue;
-    if (kEngineCommands.count(command) > 0 && kEngine.count(key) > 0) {
-      continue;
-    }
     std::fprintf(stderr, "unknown flag --%s for subcommand %s\n",
                  key.c_str(), command.c_str());
     std::exit(2);
@@ -286,7 +300,7 @@ void RejectUnknownFlags(const std::string& command, const Flags& flags) {
 /// is the default in every test harness; only negative counts are
 /// nonsense. ValidateHyperparamFlags then range-checks every
 /// hyperparameter flag.
-void ValidateFlagRanges(const Flags& flags) {
+void ValidateFlagRanges(const std::string& command, const Flags& flags) {
   if (flags.Has("alpha")) {
     double alpha = 0.0;
     if (!ParseWholeDouble(flags.Get("alpha"), &alpha) ||
@@ -315,7 +329,7 @@ void ValidateFlagRanges(const Flags& flags) {
       std::exit(2);
     }
   }
-  for (const char* key : {"shards", "memory-cap-mb", "chunk-rows"}) {
+  for (const char* key : {"n", "shards", "memory-cap-mb", "chunk-rows"}) {
     if (flags.Has(key) && flags.GetInt(key, 0) <= 0) {
       std::fprintf(stderr, "--%s must be positive, got '%s'\n", key,
                    flags.Get(key).c_str());
@@ -345,6 +359,13 @@ void ValidateFlagRanges(const Flags& flags) {
   }
   if (flags.Has("interval-backend")) {
     std::string backend = flags.Get("interval-backend");
+    if (backend == "all" && command != "monitor-replay") {
+      std::fprintf(stderr,
+                   "--interval-backend all is only valid for "
+                   "monitor-replay; pick one of %s\n",
+                   core::IntervalBackendNamesCsv().c_str());
+      std::exit(2);
+    }
     if (!core::IsIntervalBackendName(backend) && backend != "all") {
       std::fprintf(stderr,
                    "--interval-backend must be one of %s (or 'all' for "
@@ -353,65 +374,6 @@ void ValidateFlagRanges(const Flags& flags) {
       std::exit(2);
     }
   }
-}
-
-/// Touches every metric the pipeline can emit so a snapshot written by any
-/// subcommand carries the full schema (untouched instruments read zero).
-/// Names and bucket layouts must match the instrumentation sites.
-void PreregisterStandardMetrics() {
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  for (const char* name :
-       {"train.epochs", "train.early_stops", "mc_dropout.samples",
-        "roi_star.searches", "allocate.calls", "threadpool.tasks",
-        "serve.requests", "serve.rejected", "serve.deadline_exceeded",
-        "serve.errors", "serve.invalid_rows", "conformal.qhat_infinite",
-        "monitor.windows", "monitor.drift_triggers", "monitor.recalibrations",
-        "monitor.coverage_alerts", "monitor.outcomes", "slo.events",
-        "slo.warn_transitions", "slo.breach_transitions",
-        "alloc.streaming_calls", "alloc.rows_streamed",
-        "alloc.frontier_evictions", "alloc.threshold_overflow",
-        "campaign.runs", "campaign.streaming_calls",
-        "campaign.users_streamed", "campaign.frontier_evictions"}) {
-    registry.GetCounter(name);
-  }
-  for (const char* name :
-       {"train.loss", "train.final_loss", "train.grad_norm", "train.lr",
-        "conformal.q_hat", "conformal.calibration_n",
-        "mc_dropout.samples_per_sec", "exp.predict_samples_per_sec",
-        "roi_star.iterations", "roi_star.bracket_width",
-        "allocate.budget_used_frac", "allocate.selected",
-        "threadpool.queue_depth", "serve.queue_depth",
-        "serve.interval_width", "monitor.coverage",
-        "monitor.q_hat_before", "monitor.q_hat_after",
-        "monitor.roi_star_window", "monitor.alpha_effective",
-        "monitor.max_psi", "monitor.max_ks", "slo.worst_state",
-        "alloc.shards", "alloc.selected", "alloc.merge_candidates",
-        "alloc.peak_memory_bytes", "alloc.dual_threshold",
-        "alloc.dual_gap", "campaign.arms", "campaign.shards",
-        "campaign.assigned", "campaign.spent", "campaign.merge_candidates",
-        "campaign.peak_memory_bytes", "campaign.coverage_min",
-        "campaign.dual_gap"}) {
-    registry.GetGauge(name);
-  }
-  registry.GetHistogram("conformal.score", obs::ConformalScoreBuckets());
-  registry.GetHistogram("threadpool.task_us", obs::LatencyMicrosBuckets());
-  registry.GetHistogram("mc_dropout.batch_us", obs::LatencyMicrosBuckets());
-  // Bounds must equal service.cc's OccupancyBuckets — first registration
-  // fixes the layout.
-  registry.GetHistogram("serve.batch_occupancy",
-                        {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0});
-  registry.GetHistogram("serve.latency_micros", obs::LatencyMicrosBuckets());
-  registry.GetHistogram("serve.stage.queue_us", obs::LatencyMicrosBuckets());
-  registry.GetHistogram("serve.stage.assemble_us",
-                        obs::LatencyMicrosBuckets());
-  registry.GetHistogram("serve.stage.score_us", obs::LatencyMicrosBuckets());
-  registry.GetHistogram("serve.stage.conformal_us",
-                        obs::LatencyMicrosBuckets());
-  registry.GetHistogram("serve.stage.observe_us",
-                        obs::LatencyMicrosBuckets());
-  registry.GetHistogram("monitor.update_us", obs::LatencyMicrosBuckets());
-  registry.GetHistogram("monitor.recalibrate_us",
-                        obs::LatencyMicrosBuckets());
 }
 
 /// Creates the parent directory of an output path up front. A typo'd
@@ -461,7 +423,7 @@ void SetupObservability(const Flags& flags) {
   if (flags.Has("trace-out")) {
     obs::TraceCollector::Global().SetEnabled(true);
   }
-  PreregisterStandardMetrics();
+  obs::PreregisterStandardMetrics();
 }
 
 /// Metrics summary + optional JSON exports, run after the subcommand.
@@ -558,13 +520,6 @@ pipeline::Hyperparams HyperparamsFromFlags(const Flags& flags) {
   hp.alpha = flags.GetDouble("alpha", hp.alpha);
   hp.interval_backend =
       flags.Get("interval-backend", hp.interval_backend);
-  if (hp.interval_backend == "all") {
-    std::fprintf(stderr,
-                 "--interval-backend all is only valid for monitor-replay; "
-                 "pick one of %s\n",
-                 core::IntervalBackendNamesCsv().c_str());
-    std::exit(2);
-  }
   hp.seed = static_cast<uint64_t>(flags.GetInt("seed", 1234));
   // Batched prediction engine knobs. Neither changes any predicted value
   // (results are bit-identical at every setting); they only trade memory
@@ -575,13 +530,15 @@ pipeline::Hyperparams HyperparamsFromFlags(const Flags& flags) {
 }
 
 /// Runs the artifact loader's hyperparameter range table over the flags
-/// of a subcommand that takes them, so an out-of-range value exits 2
-/// naming its flag instead of aborting deep inside training or scoring.
+/// of a subcommand that trains (train, campaign), so an out-of-range value
+/// exits 2 naming its flag instead of aborting deep inside training.
 void ValidateHyperparamFlags(const std::string& command, const Flags& flags) {
-  if (kHyperCommands.count(command) == 0) return;
+  if (command != "train" && command != "campaign") return;
   static const std::map<std::string, std::string> kFlagNames = {
       {"neural_epochs", "--epochs"},
       {"learning_rate", "--lr"},
+      {"drp_hidden", "--hidden"},
+      {"restarts", "--restarts"},
       {"drp_dropout", "--dropout"},
       {"cate_epochs", "--cate-epochs"},
       {"forest_trees", "--forest-trees"},
@@ -607,6 +564,26 @@ void ValidateServiceFlagsOrDie(const pipeline::ServiceOptions& options) {
       {"max_queue", "--max-queue"},
       {"default_deadline_micros", "--deadline-micros"}};
   Status valid = pipeline::ValidateServiceOptions(options, kFlagNames);
+  if (!valid.ok()) {
+    std::fprintf(stderr, "%s\n", valid.message().c_str());
+    std::exit(2);
+  }
+}
+
+/// Runs the monitor's option range check with the CLI's flag names, so a
+/// knob that would abort the monitor's construction (--drift-bins 1) or
+/// silently disable drift detection (--psi-threshold nan) exits 2 naming
+/// its flag.
+void ValidateMonitorFlagsOrDie(const monitor::MonitorOptions& options) {
+  static const std::map<std::string, std::string> kFlagNames = {
+      {"drift_bins", "--drift-bins"},
+      {"thresholds.psi", "--psi-threshold"},
+      {"thresholds.ks", "--ks-threshold"},
+      {"coverage.window", "--coverage-window"},
+      {"coverage.slack", "--coverage-slack"},
+      {"recalibrator.max_window", "--feedback-window"},
+      {"recalibrator.gamma", "--aci-gamma"}};
+  Status valid = monitor::ValidateMonitorOptions(options, kFlagNames);
   if (!valid.ok()) {
     std::fprintf(stderr, "%s\n", valid.message().c_str());
     std::exit(2);
@@ -651,13 +628,6 @@ void MaybeRebindBackendOrDie(const Flags& flags,
                              pipeline::Pipeline* pipeline) {
   if (!flags.Has("interval-backend")) return;
   std::string backend = flags.Get("interval-backend");
-  if (backend == "all") {
-    std::fprintf(stderr,
-                 "--interval-backend all is only valid for "
-                 "monitor-replay; pick one of %s\n",
-                 core::IntervalBackendNamesCsv().c_str());
-    std::exit(2);
-  }
   if (Status status = pipeline->RebindIntervalBackend(backend, nullptr);
       !status.ok()) {
     std::fprintf(stderr, "cannot rebind interval backend to '%s': %s\n",
@@ -878,9 +848,10 @@ int CmdLoadReplay(const Flags& flags) {
   options.feedback_rows = flags.GetInt("feedback-rows", 256);
   options.seed = static_cast<uint64_t>(
       flags.GetInt("seed", static_cast<int>(options.seed)));
-  options.monitor.window_rows = static_cast<uint64_t>(flags.GetInt(
-      "window-rows", static_cast<int>(options.monitor.window_rows)));
+  options.monitor.window_rows =
+      flags.GetCount("window-rows", options.monitor.window_rows);
   options.monitor.engine = BatchOptionsFromFlags(flags);
+  ValidateMonitorFlagsOrDie(options.monitor);
   options.service.engine = options.monitor.engine;
   options.service.max_batch_requests = flags.GetInt("max-batch", 8);
   // The default queue is deliberately small: the burst phase must
@@ -1233,23 +1204,21 @@ int CmdMonitorReplay(const Flags& flags) {
   mon.drift_bins = flags.GetInt("drift-bins", mon.drift_bins);
   mon.thresholds.psi = flags.GetDouble("psi-threshold", mon.thresholds.psi);
   mon.thresholds.ks = flags.GetDouble("ks-threshold", mon.thresholds.ks);
-  mon.thresholds.min_window = static_cast<uint64_t>(flags.GetInt(
-      "min-window", static_cast<int>(mon.thresholds.min_window)));
-  mon.window_rows = static_cast<uint64_t>(
-      flags.GetInt("window-rows", static_cast<int>(mon.window_rows)));
-  mon.recalibrator.max_window = static_cast<size_t>(flags.GetInt(
-      "feedback-window", static_cast<int>(mon.recalibrator.max_window)));
-  mon.recalibrator.min_labeled = static_cast<size_t>(flags.GetInt(
-      "min-labeled", static_cast<int>(mon.recalibrator.min_labeled)));
+  mon.thresholds.min_window =
+      flags.GetCount("min-window", mon.thresholds.min_window);
+  mon.window_rows = flags.GetCount("window-rows", mon.window_rows);
+  mon.recalibrator.max_window =
+      flags.GetCount("feedback-window", mon.recalibrator.max_window);
+  mon.recalibrator.min_labeled =
+      flags.GetCount("min-labeled", mon.recalibrator.min_labeled);
   mon.recalibrator.gamma =
       flags.GetDouble("aci-gamma", mon.recalibrator.gamma);
-  mon.coverage.window = static_cast<size_t>(flags.GetInt(
-      "coverage-window", static_cast<int>(mon.coverage.window)));
+  mon.coverage.window = flags.GetCount("coverage-window", mon.coverage.window);
   mon.coverage.slack = flags.GetDouble("coverage-slack", mon.coverage.slack);
-  mon.recalibrate_every =
-      static_cast<uint64_t>(flags.GetInt("recalibrate-every", 0));
+  mon.recalibrate_every = flags.GetCount("recalibrate-every", 0);
   mon.engine = BatchOptionsFromFlags(flags);
   options.service.engine = mon.engine;
+  ValidateMonitorFlagsOrDie(mon);
 
   // One replay per requested backend. `--interval-backend NAME` rebinds
   // the artifact's backend (with the calibration set, so cqr can refit);
@@ -1404,7 +1373,7 @@ int main(int argc, char** argv) {
   std::string command = argv[1];
   Flags flags(argc, argv, 2);
   RejectUnknownFlags(command, flags);
-  ValidateFlagRanges(flags);
+  ValidateFlagRanges(command, flags);
   ValidateHyperparamFlags(command, flags);
   SetupObservability(flags);
   InstallSignalHandlers();
