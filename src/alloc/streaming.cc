@@ -357,26 +357,22 @@ StatusOr<StreamingResult> DualStream(RowSource* source, double budget,
           // disagree, and spent <= budget must win.
           ++result.dual_threshold_overflow;
         }
-        if (options.dual_repair && !repair.Add(index, roi, cost)) {
-          return CapExceeded(*accountant);
-        }
+        if (!repair.Add(index, roi, cost)) return CapExceeded(*accountant);
       }
     }
     result.dual_upper_bound = theta * budget + ub_sum;
-    if (options.dual_repair) {
-      if (!repair.Compact()) return CapExceeded(*accountant);
-      result.frontier_evictions = repair.evictions();
-      result.merge_candidates = static_cast<int64_t>(repair.items().size());
-      for (const FrontierItem& item : repair.items()) {
-        if (result.spent + item.cost <= budget) {
-          if (!PushSelected(item.index, accountant, &result.selected)) {
-            return CapExceeded(*accountant);
-          }
-          result.spent += item.cost;
-          result.value += item.roi * item.cost;
-        } else {
-          break;
+    if (!repair.Compact()) return CapExceeded(*accountant);
+    result.frontier_evictions = repair.evictions();
+    result.merge_candidates = static_cast<int64_t>(repair.items().size());
+    for (const FrontierItem& item : repair.items()) {
+      if (result.spent + item.cost <= budget) {
+        if (!PushSelected(item.index, accountant, &result.selected)) {
+          return CapExceeded(*accountant);
         }
+        result.spent += item.cost;
+        result.value += item.roi * item.cost;
+      } else {
+        break;
       }
     }
     result.dual_gap = result.dual_upper_bound - result.value;

@@ -184,9 +184,6 @@ struct StreamingOptions {
   /// ~(grid+1)^-passes of the initial ROI bracket.
   int dual_passes = 4;
   int dual_grid = 64;
-  /// Dual mode: fill leftover budget with the best rejected rows,
-  /// streamed through a slack-budget frontier (standard primal repair).
-  bool dual_repair = true;
 };
 
 struct StreamingResult {

@@ -35,8 +35,6 @@ class KArmPairwiseLoss : public nn::BatchLoss {
         y_revenue_(y_revenue),
         y_cost_(y_cost) {}
 
-  int output_dim() const override { return num_arms_; }
-
   double Compute(const Matrix& preds, const std::vector<int>& index,
                  Matrix* grad) const override {
     ROICL_CHECK(grad != nullptr);

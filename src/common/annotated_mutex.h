@@ -20,8 +20,7 @@
 /// Under GCC (and any non-clang compiler) every `ROICL_*` annotation macro
 /// expands to nothing and the wrappers compile down to the exact
 /// `std::mutex` / `std::condition_variable` calls they replace — zero
-/// runtime or layout cost (re-measured in BENCH_serve.json; see
-/// EXPERIMENTS.md).
+/// runtime or layout cost.
 ///
 /// Condition-variable waits are written as explicit while loops
 /// (`while (!pred) cv_.Wait(mu_);`) rather than predicate lambdas: the

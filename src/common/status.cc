@@ -1,5 +1,7 @@
 #include "common/status.h"
 
+#include <cstdio>
+
 namespace roicl {
 namespace {
 
@@ -22,6 +24,16 @@ const char* CodeName(StatusCode code) {
 }
 
 }  // namespace
+
+void RangeCheck::operator()(const char* key, double value, bool holds,
+                            const char* range) {
+  if (holds || !failure_.empty()) return;
+  auto name = names_.find(key);
+  char shown[32];
+  std::snprintf(shown, sizeof(shown), "%.17g", value);
+  failure_ = (name == names_.end() ? std::string(key) : name->second) +
+             " must be " + range + ", got " + shown;
+}
 
 std::string Status::ToString() const {
   if (ok()) return "OK";

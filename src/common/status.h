@@ -1,6 +1,7 @@
 #ifndef ROICL_COMMON_STATUS_H_
 #define ROICL_COMMON_STATUS_H_
 
+#include <map>
 #include <optional>
 #include <string>
 #include <utility>
@@ -57,6 +58,27 @@ class [[nodiscard]] Status {
  private:
   StatusCode code_;
   std::string message_;
+};
+
+/// The range rules of an options struct, checked in order: the first
+/// broken rule becomes InvalidArgument "<name> must be <range>, got
+/// <value>", where a field is named by `names[key]` if given (the CLI
+/// passes its flag names) and by `key` otherwise. `names` must outlive the
+/// check.
+class RangeCheck {
+ public:
+  explicit RangeCheck(const std::map<std::string, std::string>& names)
+      : names_(names) {}
+
+  void operator()(const char* key, double value, bool holds,
+                  const char* range);
+  Status status() const {
+    return failure_.empty() ? Status::Ok() : Status::InvalidArgument(failure_);
+  }
+
+ private:
+  const std::map<std::string, std::string>& names_;
+  std::string failure_;  // the first rule broken
 };
 
 /// Value-or-error wrapper. `ok()` must be checked before `value()`.

@@ -43,7 +43,6 @@ class PinballPairLoss : public nn::BatchLoss {
 
   double Compute(const Matrix& preds, const std::vector<int>& index,
                  Matrix* grad) const override;
-  int output_dim() const override { return 2; }
 
  private:
   const std::vector<double>* targets_;  // not owned

@@ -143,11 +143,11 @@ PhaseOutcome RunTraffic(pipeline::ScoringService* service,
                             local.latencies.begin(),
                             local.latencies.end());
   };
-  int threads = std::max(1, client_threads);
   std::vector<std::thread> pool;
-  pool.reserve(AsSize(threads));
-  for (int t = 0; t < threads; ++t) {
-    int share = requests / threads + (t < requests % threads ? 1 : 0);
+  pool.reserve(AsSize(client_threads));
+  for (int t = 0; t < client_threads; ++t) {
+    int share = requests / client_threads +
+                (t < requests % client_threads ? 1 : 0);
     pool.emplace_back(worker, share);
   }
   for (std::thread& t : pool) t.join();
@@ -230,20 +230,36 @@ std::string LoadReplayResult::ToJson() const {
   return out;
 }
 
+Status ValidateLoadReplayOptions(
+    const LoadReplayOptions& options,
+    const std::map<std::string, std::string>& names) {
+  RangeCheck require(names);
+  require("rows_per_request", options.rows_per_request,
+          options.rows_per_request >= 1, ">= 1");
+  require("requests_per_phase", options.requests_per_phase,
+          options.requests_per_phase >= 1, ">= 1");
+  require("client_threads", options.client_threads,
+          options.client_threads >= 1, ">= 1");
+  require("burst_factor", options.burst_factor, options.burst_factor >= 1,
+          ">= 1");
+  require("tight_deadline_micros",
+          static_cast<double>(options.tight_deadline_micros),
+          options.tight_deadline_micros >= 1, ">= 1");
+  require("oversized_factor", options.oversized_factor,
+          options.oversized_factor >= 1, ">= 1");
+  require("swap_storm_swaps", options.swap_storm_swaps,
+          options.swap_storm_swaps >= 1, ">= 1");
+  require("feedback_rows", options.feedback_rows, options.feedback_rows >= 0,
+          ">= 0");
+  if (Status status = require.status(); !status.ok()) return status;
+  return pipeline::ValidateServiceOptions(options.service, names);
+}
+
 StatusOr<LoadReplayResult> RunLoadReplay(pipeline::Pipeline pipeline,
                                          const RctDataset& calibration,
                                          const RctDataset& stream,
                                          const LoadReplayOptions& options) {
-  if (options.rows_per_request <= 0 || options.requests_per_phase <= 0) {
-    return Status::InvalidArgument(
-        "rows_per_request and requests_per_phase must be positive");
-  }
-  if (options.burst_factor <= 0 || options.oversized_factor <= 0) {
-    return Status::InvalidArgument(
-        "burst_factor and oversized_factor must be positive");
-  }
-  if (Status valid = pipeline::ValidateServiceOptions(options.service);
-      !valid.ok()) {
+  if (Status valid = ValidateLoadReplayOptions(options); !valid.ok()) {
     return valid;
   }
   if (stream.n() == 0) {

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -30,8 +31,8 @@
 ///
 /// Labeled feedback from the stream is replayed to the monitor between
 /// phases so the coverage and drift SLOs see events too. The `load-replay`
-/// CLI subcommand wraps this and writes LoadReplayResult::ToJson to
-/// BENCH_load.json via tools/bench_to_json.sh.
+/// CLI subcommand wraps this and writes LoadReplayResult::ToJson to its
+/// `--out` file.
 namespace roicl::monitor {
 
 struct LoadReplayOptions {
@@ -62,6 +63,19 @@ struct LoadReplayOptions {
   /// (the signal-flush path). The partial result is still returned.
   std::function<bool()> cancelled;
 };
+
+/// Range-checks the replay's own knobs, whose out-of-range values would
+/// otherwise run a phase vacuously or not at all: rows_per_request,
+/// requests_per_phase, client_threads, burst_factor,
+/// tight_deadline_micros, oversized_factor and swap_storm_swaps >= 1;
+/// feedback_rows >= 0. Then runs pipeline::ValidateServiceOptions over
+/// `service`; `monitor` is checked by ServingMonitor::FromCalibration when
+/// the replay starts. InvalidArgument names the first knob out of range by
+/// its field name, or by `names[field]` where given (the CLI passes its
+/// flag names).
+Status ValidateLoadReplayOptions(
+    const LoadReplayOptions& options,
+    const std::map<std::string, std::string>& names = {});
 
 /// Per-phase outcome counts and client-observed latency percentiles
 /// (exact, from the sorted completion latencies of the phase).
@@ -109,7 +123,7 @@ struct LoadReplayResult {
   std::string slo_worst_state = "OK";
   bool interrupted = false;  ///< cancelled() fired mid-replay
 
-  /// Full machine-readable report (the BENCH_load.json payload).
+  /// Full machine-readable report (what `load-replay --out` writes).
   std::string ToJson() const;
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <utility>
 
 #include "common/macros.h"
@@ -20,6 +19,10 @@ namespace {
 /// Served rows between halvings of the live weight-bin counts — a
 /// first-order exponential forgetting horizon for the likelihood ratio.
 constexpr uint64_t kWeightAgingRows = 4096;
+
+/// Drift channels cover at most this many leading feature columns
+/// (per-channel cost is small but not free on wide feature spaces).
+constexpr int kMaxFeatureChannels = 8;
 
 /// True when `dataset` supports Algorithm 2 without aborting: both RCT
 /// arms present and a positive average cost lift (Assumption 4).
@@ -42,16 +45,7 @@ bool SupportsRoiStar(const RctDataset& dataset) {
 Status ValidateMonitorOptions(
     const MonitorOptions& options,
     const std::map<std::string, std::string>& names) {
-  std::string failure;  // the first rule broken
-  auto require = [&](const char* key, double value, bool holds,
-                     const char* range) {
-    if (holds || !failure.empty()) return;
-    auto name = names.find(key);
-    char shown[32];
-    std::snprintf(shown, sizeof(shown), "%.17g", value);
-    failure = (name == names.end() ? std::string(key) : name->second) +
-              " must be " + range + ", got " + shown;
-  };
+  RangeCheck require(names);
   require("drift_bins", options.drift_bins, options.drift_bins >= 2,
           ">= 2");
   const DriftThresholds& drift = options.thresholds;
@@ -68,7 +62,7 @@ Status ValidateMonitorOptions(
           options.recalibrator.max_window >= 1, ">= 1");
   require("recalibrator.gamma", options.recalibrator.gamma,
           options.recalibrator.gamma >= 0.0, ">= 0");
-  return failure.empty() ? Status::Ok() : Status::InvalidArgument(failure);
+  return require.status();
 }
 
 StatusOr<std::unique_ptr<ServingMonitor>> ServingMonitor::FromCalibration(
@@ -133,8 +127,7 @@ StatusOr<std::unique_ptr<ServingMonitor>> ServingMonitor::FromCalibration(
 
   DriftDetector detector(options.thresholds);
   std::vector<int> feature_channels;
-  int monitored = std::min(options.max_feature_channels,
-                           calibration.dim());
+  int monitored = std::min(kMaxFeatureChannels, calibration.dim());
   for (int c = 0; c < monitored; ++c) {
     feature_channels.push_back(detector.AddChannel(
         "feature_" + std::to_string(c),

@@ -49,9 +49,6 @@ struct MonitorOptions {
   /// Drift channels are evaluated once this many scored rows accumulate
   /// (tumbling windows).
   uint64_t window_rows = 512;
-  /// Monitor at most this many leading feature columns (per-channel cost
-  /// is small but not free on wide feature spaces).
-  int max_feature_channels = 8;
   /// Feedback sliding-window and fallback knobs.
   RecalibratorOptions recalibrator;
   /// Coverage-ring knobs (alpha is overridden from the pipeline target).

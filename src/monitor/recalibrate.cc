@@ -147,9 +147,9 @@ StatusOr<RecalibrationResult> RollingRecalibrator::Recalibrate(
     }
     double roi_star = core::BinarySearchRoiStar(treatment, y_revenue,
                                                 y_cost, options_.epsilon);
-    double tolerance =
-        options_.reanchor_rtol * std::max(1.0, std::fabs(anchor_));
-    if (std::fabs(roi_star - anchor_) > tolerance) ReanchorLocked(roi_star);
+    // Re-anchoring on any change keeps the window's scores bitwise equal
+    // to a batch rescoring at the new roi*.
+    if (std::fabs(roi_star - anchor_) > 0.0) ReanchorLocked(roi_star);
     result.roi_star = roi_star;
     q_new = iq_.QHat(target_alpha_);
     metrics.GetGauge("conformal.calibration_n")

@@ -92,12 +92,6 @@ struct RecalibratorOptions {
   double epsilon = 1e-4;
   /// ACI step size gamma.
   double gamma = 0.02;
-  /// Relative roi* drift (vs max(1, |anchor|)) below which the labeled
-  /// path keeps the current anchor instead of rescoring the window. 0
-  /// re-anchors on any bitwise change, which preserves exact batch
-  /// equivalence; a small positive value trades a bounded score skew for
-  /// fewer O(n log n) rebuilds.
-  double reanchor_rtol = 0.0;
 };
 
 /// The sliding window plus the recalibration math. Not thread-safe: the

@@ -21,9 +21,6 @@ class BatchLoss {
 
   virtual double Compute(const Matrix& preds, const std::vector<int>& index,
                          Matrix* grad) const = 0;
-
-  /// Number of output columns the loss expects.
-  virtual int output_dim() const { return 1; }
 };
 
 /// Mean squared error against a captured target vector (by dataset index).

@@ -9,14 +9,6 @@ Mlp::Mlp(const Mlp& other) {
   for (const auto& layer : other.layers_) layers_.push_back(layer->Clone());
 }
 
-Mlp& Mlp::operator=(const Mlp& other) {
-  if (this == &other) return *this;
-  layers_.clear();
-  layers_.reserve(other.layers_.size());
-  for (const auto& layer : other.layers_) layers_.push_back(layer->Clone());
-  return *this;
-}
-
 Mlp Mlp::MakeMlp(int input_dim, const std::vector<int>& hidden,
                  int output_dim, ActivationKind activation,
                  double dropout_rate, Rng* rng) {

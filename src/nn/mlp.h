@@ -22,7 +22,7 @@ class Mlp : public Network {
   Mlp& operator=(Mlp&&) = default;
   /// Deep copies (layer-wise Clone); used for early-stopping snapshots.
   Mlp(const Mlp& other);
-  Mlp& operator=(const Mlp& other);
+  Mlp& operator=(const Mlp& other) = delete;
 
   /// Convenience builder: `input_dim -> hidden[0] -> ... -> output_dim`
   /// with the given activation after each hidden Dense, and a Dropout

@@ -177,14 +177,7 @@ StatusOr<Hyperparams> ParseHyperparams(const std::string& line) {
 
 Status ValidateHyperparams(const Hyperparams& hp,
                            const std::map<std::string, std::string>& names) {
-  std::string failure;  // the first rule broken
-  auto require = [&](const char* key, double value, bool holds,
-                     const char* range) {
-    if (holds || !failure.empty()) return;
-    auto name = names.find(key);
-    failure = (name == names.end() ? std::string(key) : name->second) +
-              " must be " + range + ", got " + FormatDouble(value);
-  };
+  RangeCheck require(names);
   require("neural_epochs", hp.neural_epochs, hp.neural_epochs >= 1, ">= 1");
   require("drp_hidden", hp.drp_hidden, hp.drp_hidden >= 0, ">= 0 (0 = auto)");
   require("restarts", hp.restarts, hp.restarts >= 1, ">= 1");
@@ -204,7 +197,7 @@ Status ValidateHyperparams(const Hyperparams& hp,
           hp.predict_batch_size >= 1, ">= 1");
   require("predict_threads", hp.predict_threads, hp.predict_threads >= 0,
           ">= 0");
-  return failure.empty() ? Status::Ok() : Status::InvalidArgument(failure);
+  return require.status();
 }
 
 }  // namespace roicl::pipeline

@@ -35,25 +35,19 @@ std::string TraceTag(bool tracing, uint64_t trace_id) {
 Status ValidateServiceOptions(
     const ServiceOptions& options,
     const std::map<std::string, std::string>& names) {
-  auto out_of_range = [&](const std::string& key, int64_t value,
-                          const char* range) {
-    auto name = names.find(key);
-    return Status::InvalidArgument(
-        (name == names.end() ? key : name->second) + " must be " + range +
-        ", got " + std::to_string(value));
-  };
-  if (options.max_batch_requests < 1) {
-    return out_of_range("max_batch_requests", options.max_batch_requests,
-                        ">= 1");
-  }
-  if (options.max_queue < 1) {
-    return out_of_range("max_queue", options.max_queue, ">= 1");
-  }
-  if (options.default_deadline_micros < 0) {
-    return out_of_range("default_deadline_micros",
-                        options.default_deadline_micros, ">= 0");
-  }
-  return Status::Ok();
+  RangeCheck require(names);
+  require("max_batch_requests", options.max_batch_requests,
+          options.max_batch_requests >= 1, ">= 1");
+  require("max_queue", options.max_queue, options.max_queue >= 1, ">= 1");
+  require("default_deadline_micros",
+          static_cast<double>(options.default_deadline_micros),
+          options.default_deadline_micros >= 0, ">= 0");
+  require("exemplar_rate", options.exemplar_rate,
+          options.exemplar_rate >= 0.0 && options.exemplar_rate <= 1.0,
+          "in [0, 1]");
+  require("shadow_interval_every", options.shadow_interval_every,
+          options.shadow_interval_every >= 0, ">= 0");
+  return require.status();
 }
 
 ScoringService::ScoringService(Pipeline pipeline, ServiceOptions options)

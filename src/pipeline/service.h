@@ -83,10 +83,11 @@ struct ServiceOptions {
 };
 
 /// Range-checks the knobs the dispatcher would otherwise spin or reject
-/// everything on: max_batch_requests >= 1, max_queue >= 1 and
-/// default_deadline_micros >= 0. InvalidArgument names the first knob out
-/// of range by its field name, or by `names[field]` where given (the CLI
-/// passes its flag names).
+/// everything on, or that would silently mean nothing: max_batch_requests
+/// >= 1, max_queue >= 1, default_deadline_micros >= 0, exemplar_rate in
+/// [0, 1] (NaN fails) and shadow_interval_every >= 0. InvalidArgument
+/// names the first knob out of range by its field name, or by
+/// `names[field]` where given (the CLI passes its flag names).
 Status ValidateServiceOptions(
     const ServiceOptions& options,
     const std::map<std::string, std::string>& names = {});

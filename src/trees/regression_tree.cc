@@ -109,10 +109,4 @@ double RegressionTree::Predict(const double* row) const {
   return PredictTree(nodes_, row);
 }
 
-std::vector<double> RegressionTree::Predict(const Matrix& x) const {
-  std::vector<double> out(AsSize(x.rows()));
-  for (int r = 0; r < x.rows(); ++r) out[AsSize(r)] = Predict(x.RowPtr(r));
-  return out;
-}
-
 }  // namespace roicl::trees

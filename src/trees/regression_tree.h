@@ -19,9 +19,6 @@ class RegressionTree {
   /// Predicts one feature row. Requires Fit() first.
   double Predict(const double* row) const;
 
-  /// Predicts all rows of a matrix.
-  std::vector<double> Predict(const Matrix& x) const;
-
   bool fitted() const { return !nodes_.empty(); }
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
   const std::vector<TreeNode>& nodes() const { return nodes_; }

@@ -36,7 +36,6 @@ class FactualMseLoss : public nn::BatchLoss {
     }
     return loss / n;
   }
-  int output_dim() const override { return 2; }
 
  private:
   const std::vector<int>* treatment_;
@@ -72,7 +71,6 @@ class DragonnetLoss : public nn::BatchLoss {
     }
     return loss / n;
   }
-  int output_dim() const override { return 3; }
 
  private:
   const std::vector<int>* treatment_;
@@ -104,7 +102,6 @@ class OffsetLoss : public nn::BatchLoss {
     }
     return loss / n;
   }
-  int output_dim() const override { return 2; }
 
  private:
   const std::vector<int>* treatment_;

@@ -1,7 +1,6 @@
 #include "uplift/regressor.h"
 
-#include <iomanip>
-#include <string>
+#include <utility>
 
 #include "common/macros.h"
 #include "common/math_util.h"
@@ -29,41 +28,6 @@ std::vector<double> RidgeRegressor::Predict(const Matrix& x) const {
     out[AsSize(r)] = acc;
   }
   return out;
-}
-
-Status RidgeRegressor::Save(std::ostream& out) const {
-  if (weights_.empty()) {
-    return Status::FailedPrecondition("ridge regressor not fitted");
-  }
-  out << "roicl-ridge-v1\n" << weights_.size() << '\n';
-  out << std::setprecision(17);
-  for (size_t i = 0; i < weights_.size(); ++i) {
-    if (i > 0) out << ' ';
-    out << weights_[i];
-  }
-  out << '\n';
-  if (!out) return Status::IoError("stream write failed");
-  return Status::Ok();
-}
-
-Status RidgeRegressor::Load(std::istream& in) {
-  std::string magic;
-  if (!(in >> magic) || magic != "roicl-ridge-v1") {
-    return Status::InvalidArgument("bad magic '" + magic +
-                                   "' (expected roicl-ridge-v1)");
-  }
-  size_t count = 0;
-  if (!(in >> count) || count == 0 || count > 1000000) {
-    return Status::InvalidArgument("bad ridge weight count");
-  }
-  std::vector<double> weights(count);
-  for (size_t i = 0; i < count; ++i) {
-    if (!(in >> weights[i])) {
-      return Status::InvalidArgument("truncated ridge weight vector");
-    }
-  }
-  weights_ = std::move(weights);
-  return Status::Ok();
 }
 
 void ForestRegressor::Fit(const Matrix& x, const std::vector<double>& y) {

@@ -46,12 +46,6 @@ class RidgeRegressor : public Regressor {
   void Fit(const Matrix& x, const std::vector<double>& y) override;
   std::vector<double> Predict(const Matrix& x) const override;
 
-  /// Writes the fitted weight vector ("roicl-ridge-v1"). Requires Fit().
-  Status Save(std::ostream& out) const override;
-  /// Restores weights written by Save(); malformed input returns a
-  /// descriptive Status and leaves the regressor unchanged.
-  Status Load(std::istream& in) override;
-
  private:
   double lambda_;
   std::vector<double> weights_;  // last entry is the intercept

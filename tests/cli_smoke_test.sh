@@ -140,6 +140,33 @@ check_rejects "--aci-gamma must be >= 0" "${monitor_replay[@]}" \
 check_rejects "--window-rows must be >= 0" \
   $CLI load-replay --pipeline $WORK/rdrp.pipeline --calib $WORK/calib.csv \
       --data $WORK/test.csv --window-rows -1
+# Load-replay knobs that used to run a phase vacuously (a swap storm with
+# no swaps, a deadline that never expires) and exit 0, or exit 1 naming a
+# struct field, exit 2 naming the flag.
+load_replay=($CLI load-replay --pipeline $WORK/rdrp.pipeline
+             --calib $WORK/calib.csv --data $WORK/test.csv)
+check_rejects "--swap-storm-swaps must be >= 1" "${load_replay[@]}" \
+  --swap-storm-swaps -1
+check_rejects "--tight-deadline-micros must be >= 1" "${load_replay[@]}" \
+  --tight-deadline-micros -50
+check_rejects "--feedback-rows must be >= 0" "${load_replay[@]}" \
+  --feedback-rows -5
+check_rejects "--shadow-interval-every must be >= 0" "${load_replay[@]}" \
+  --shadow-interval-every -1
+check_rejects "--exemplar-rate must be in [0, 1]" "${load_replay[@]}" \
+  --exemplar-rate 2
+check_rejects "--client-threads must be >= 1" "${load_replay[@]}" \
+  --client-threads 0
+check_rejects "--burst-factor must be >= 1" "${load_replay[@]}" \
+  --burst-factor -1
+check_rejects "--requests must be >= 1" "${load_replay[@]}" --requests 0
+check_rejects "--request-rows must be >= 1" "${load_replay[@]}" \
+  --request-rows 0
+check_rejects "--oversized-factor must be >= 1" "${load_replay[@]}" \
+  --oversized-factor 0
+# No subcommand, or an unknown one, prints the usage and exits 2.
+check_rejects "usage: roicl" $CLI
+check_rejects "usage: roicl" $CLI frobnicate
 # Artifact consumers read every hyperparameter from the --pipeline
 # artifact, so a training flag there is a typo, not a setting.
 for flag in "--alpha 0.5" "--mc-passes 7" "--epochs 99"; do

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 #include <string>
 #include <utility>
@@ -103,6 +104,60 @@ TEST(LoadReplayTest, ValidatesOptionsAndScorer) {
               std::string::npos)
         << result.status().ToString();
   }
+}
+
+// Each knob that used to run its phase vacuously (a swap storm with no
+// swaps, a deadline that never expires) or be clamped silently is refused
+// with an InvalidArgument naming it, and RunLoadReplay returns that error.
+TEST(LoadReplayTest, RejectsOutOfRangeKnobsByName) {
+  struct Case {
+    const char* field;
+    void (*apply)(LoadReplayOptions*);
+  };
+  const Case cases[] = {
+      {"rows_per_request",
+       [](LoadReplayOptions* o) { o->rows_per_request = 0; }},
+      {"requests_per_phase",
+       [](LoadReplayOptions* o) { o->requests_per_phase = 0; }},
+      {"client_threads", [](LoadReplayOptions* o) { o->client_threads = 0; }},
+      {"burst_factor", [](LoadReplayOptions* o) { o->burst_factor = -1; }},
+      {"tight_deadline_micros",
+       [](LoadReplayOptions* o) { o->tight_deadline_micros = -50; }},
+      {"oversized_factor",
+       [](LoadReplayOptions* o) { o->oversized_factor = 0; }},
+      {"swap_storm_swaps",
+       [](LoadReplayOptions* o) { o->swap_storm_swaps = -1; }},
+      {"feedback_rows", [](LoadReplayOptions* o) { o->feedback_rows = -5; }},
+      {"exemplar_rate",
+       [](LoadReplayOptions* o) { o->service.exemplar_rate = 2.0; }},
+      {"exemplar_rate",
+       [](LoadReplayOptions* o) { o->service.exemplar_rate = std::nan(""); }},
+      {"shadow_interval_every",
+       [](LoadReplayOptions* o) { o->service.shadow_interval_every = -1; }},
+  };
+  for (const Case& c : cases) {
+    LoadReplayOptions options = SmallOptions();
+    c.apply(&options);
+    Status status = ValidateLoadReplayOptions(options);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << c.field;
+    EXPECT_EQ(status.message().rfind(c.field, 0), 0u) << status.ToString();
+  }
+  LoadReplayOptions quiet = SmallOptions();
+  quiet.feedback_rows = 0;  // no feedback between phases is a valid replay
+  EXPECT_TRUE(ValidateLoadReplayOptions(quiet).ok());
+
+  LoadReplayOptions options = SmallOptions();
+  options.swap_storm_swaps = -1;
+  EXPECT_EQ(ValidateLoadReplayOptions(
+                options, {{"swap_storm_swaps", "--swap-storm-swaps"}})
+                .message(),
+            "--swap-storm-swaps must be >= 1, got -1");
+  StatusOr<LoadReplayResult> result =
+      RunLoadReplay(TrainSmallRdrp(), Gen(64, 6), Gen(64, 5), options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(result.status().message().rfind("swap_storm_swaps", 0), 0u)
+      << result.status().ToString();
 }
 
 TEST(LoadReplayTest, SmokeRunBreachesSlosAndResolvesExemplarsToFlows) {

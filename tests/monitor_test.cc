@@ -506,6 +506,44 @@ TEST(ServingMonitor, DetectsInjectedShiftAndSwapsQuantile) {
   EXPECT_FALSE(idle.value().performed);
 }
 
+// MonitorOptions::recalibrate_every (monitor-replay --recalibrate-every):
+// with no drift latched, the monitor recalibrates once that many outcomes
+// have arrived since the last swap, and not before.
+TEST(ServingMonitor, RecalibratesOnFeedbackCadenceWithoutDrift) {
+  pipeline::Pipeline pipeline = TrainSmallRdrp();
+  MonitorOptions options;
+  options.recalibrate_every = 100;
+  StatusOr<std::unique_ptr<ServingMonitor>> monitor_or =
+      ServingMonitor::FromCalibration(&pipeline, Gen(300, 71), options);
+  ASSERT_TRUE(monitor_or.ok()) << monitor_or.status().ToString();
+  ServingMonitor& monitor = *monitor_or.value();
+  monitor.BindQuantileSwap([&pipeline](double q_hat) {
+    return pipeline.SetConformalQuantile(q_hat);
+  });
+
+  ASSERT_TRUE(monitor.AddOutcomes(Gen(60, 72)).ok());
+  StatusOr<RecalibrationResult> early = monitor.MaybeRecalibrate();
+  ASSERT_TRUE(early.ok()) << early.status().ToString();
+  EXPECT_FALSE(early.value().performed);
+
+  ASSERT_TRUE(monitor.AddOutcomes(Gen(40, 73)).ok());
+  ASSERT_FALSE(monitor.drift_latched());
+  StatusOr<RecalibrationResult> due = monitor.MaybeRecalibrate();
+  ASSERT_TRUE(due.ok()) << due.status().ToString();
+  EXPECT_TRUE(due.value().performed);
+  EXPECT_EQ(pipeline.conformal_quantile().value(), due.value().q_hat_after);
+
+  // The count restarts at the swap.
+  ASSERT_TRUE(monitor.AddOutcomes(Gen(99, 74)).ok());
+  StatusOr<RecalibrationResult> restarted = monitor.MaybeRecalibrate();
+  ASSERT_TRUE(restarted.ok()) << restarted.status().ToString();
+  EXPECT_FALSE(restarted.value().performed);
+  ASSERT_TRUE(monitor.AddOutcomes(Gen(1, 75)).ok());
+  StatusOr<RecalibrationResult> again = monitor.MaybeRecalibrate();
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_TRUE(again.value().performed);
+}
+
 TEST(ServingMonitor, CommittedStateBitIdenticalAtAnyThreadCount) {
   pipeline::Pipeline pipeline = TrainSmallRdrp();
   RctDataset calib = Gen(300, 71);

@@ -26,8 +26,7 @@
 //             (--slo-spec FILE). Prints per-phase latency percentiles
 //             and reject rates; --out FILE writes the full JSON report
 //             (latency percentiles, per-stage serve.stage.* breakdown,
-//             exemplar trace IDs, SLO verdicts) — the BENCH_load.json
-//             producer.
+//             exemplar trace IDs, SLO verdicts).
 //
 // Every model is constructed through pipeline::ScorerRegistry — there is
 // no per-method construction chain here; `roicl methods` shows the names.
@@ -562,7 +561,9 @@ void ValidateServiceFlagsOrDie(const pipeline::ServiceOptions& options) {
   static const std::map<std::string, std::string> kFlagNames = {
       {"max_batch_requests", "--max-batch"},
       {"max_queue", "--max-queue"},
-      {"default_deadline_micros", "--deadline-micros"}};
+      {"default_deadline_micros", "--deadline-micros"},
+      {"exemplar_rate", "--exemplar-rate"},
+      {"shadow_interval_every", "--shadow-interval-every"}};
   Status valid = pipeline::ValidateServiceOptions(options, kFlagNames);
   if (!valid.ok()) {
     std::fprintf(stderr, "%s\n", valid.message().c_str());
@@ -864,6 +865,20 @@ int CmdLoadReplay(const Flags& flags) {
   options.service.shadow_interval_every =
       flags.GetInt("shadow-interval-every", 7);
   ValidateServiceFlagsOrDie(options.service);
+  static const std::map<std::string, std::string> kFlagNames = {
+      {"rows_per_request", "--request-rows"},
+      {"requests_per_phase", "--requests"},
+      {"client_threads", "--client-threads"},
+      {"burst_factor", "--burst-factor"},
+      {"tight_deadline_micros", "--tight-deadline-micros"},
+      {"oversized_factor", "--oversized-factor"},
+      {"swap_storm_swaps", "--swap-storm-swaps"},
+      {"feedback_rows", "--feedback-rows"}};
+  if (Status valid = monitor::ValidateLoadReplayOptions(options, kFlagNames);
+      !valid.ok()) {
+    std::fprintf(stderr, "%s\n", valid.message().c_str());
+    return 2;
+  }
   if (flags.Has("slo-spec")) {
     std::string error;
     if (!obs::LoadSloSpecs(flags.Get("slo-spec"), &options.slos, &error)) {
