@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cmath>
 #include <future>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -651,6 +652,91 @@ TEST(ServingMonitor, ConcurrentObserveOutcomesAndRecalibrateAreRaceFree) {
   double q_final = service.pipeline().conformal_quantile().value();
   EXPECT_TRUE(std::isfinite(q_final));
   EXPECT_GE(q_final, 0.0);
+}
+
+// Recalibration pinned bit for bit under every interval backend. A fixed
+// feedback stream runs through a 200-row window: the first batch is too
+// small for Algorithm 2 (label-free fallback), the next four are labeled,
+// and from the third batch on the window evicts, so each labeled swap
+// sees a different window roi*. Any change to how the window scores,
+// evicts or ranks shows here.
+struct RecalibrationStep {
+  bool labeled;
+  double roi_star;
+  double q_hat_after;
+  double alpha_used;
+};
+
+struct FeedbackBatch {
+  int rows;
+  uint64_t seed;
+  bool shifted;
+};
+
+constexpr FeedbackBatch kGoldenFeedback[] = {
+    {60, 101, false}, {80, 102, false}, {80, 103, true},
+    {80, 104, true},  {80, 105, false},
+};
+
+TEST(ServingMonitor, RecalibratedQuantileGolden) {
+  const RecalibrationStep kExpected[][std::size(kGoldenFeedback)] = {
+      // split
+      {{false, 0.0, 7.2136238789411919, 0.10000000000000009},
+       {true, 0.1083984375, 15.390924748288057, 0.1},
+       {true, 0.20703125, 12.084190527067138, 0.1},
+       {true, 0.2861328125, 10.717265765493856, 0.1},
+       {true, 0.3408203125, 9.4496293227059915, 0.1}},
+      // weighted
+      {{false, 0.0, 9.3730045001920104, 0.1},
+       {true, 0.1083984375, 15.390924748288057, 0.1},
+       {true, 0.20703125, 12.084190527067138, 0.1},
+       {true, 0.2861328125, 10.717265765493856, 0.1},
+       {true, 0.3408203125, 9.4496293227059915, 0.1}},
+      // cqr
+      {{false, 0.0, 145.017145726693, 0.0030000000000000001},
+       {true, 0.1083984375, 9.6821770727935892, 0.1},
+       {true, 0.20703125, 6.6186841504306972, 0.1},
+       {true, 0.2861328125, 4.094241335542427, 0.1},
+       {true, 0.3408203125, 2.4686932279524108, 0.1}},
+  };
+  static_assert(std::size(kExpected) == core::kIntervalBackendNames.size());
+  RctDataset calib = Gen(300, 91);
+  RctDataset traffic = Gen(256, 100);
+  for (size_t b = 0; b < core::kIntervalBackendNames.size(); ++b) {
+    const char* backend = core::kIntervalBackendNames[b];
+    SCOPED_TRACE(backend);
+    pipeline::Pipeline pipeline = TrainSmallRdrp();
+    ASSERT_TRUE(pipeline.RebindIntervalBackend(backend, &calib).ok());
+    MonitorOptions options;
+    options.recalibrator.max_window = 200;
+    options.recalibrator.min_labeled = 100;
+    StatusOr<std::unique_ptr<ServingMonitor>> monitor_or =
+        ServingMonitor::FromCalibration(&pipeline, calib, options);
+    ASSERT_TRUE(monitor_or.ok()) << monitor_or.status().ToString();
+    ServingMonitor& monitor = *monitor_or.value();
+    monitor.BindQuantileSwap([&pipeline](double q_hat) {
+      return pipeline.SetConformalQuantile(q_hat);
+    });
+    // Served traffic gives the weighted fallback its live bin mass.
+    monitor.ObserveScored(traffic.x, pipeline.Score(traffic.x).value());
+    for (size_t s = 0; s < std::size(kGoldenFeedback); ++s) {
+      SCOPED_TRACE(s);
+      const FeedbackBatch& batch = kGoldenFeedback[s];
+      ASSERT_TRUE(
+          monitor.AddOutcomes(Gen(batch.rows, batch.seed, batch.shifted))
+              .ok());
+      StatusOr<RecalibrationResult> result =
+          monitor.MaybeRecalibrate(/*force=*/true);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      const RecalibrationStep& want = kExpected[b][s];
+      EXPECT_EQ(result.value().labeled, want.labeled);
+      EXPECT_EQ(result.value().roi_star, want.roi_star);
+      EXPECT_EQ(result.value().q_hat_after, want.q_hat_after);
+      EXPECT_EQ(result.value().alpha_used, want.alpha_used);
+      EXPECT_EQ(pipeline.conformal_quantile().value(),
+                result.value().q_hat_after);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------
