@@ -61,16 +61,6 @@ double ConformalScoreQuantile(const std::vector<double>& scores,
   return q_hat;
 }
 
-double WindowedConformalScoreQuantile(const std::vector<double>& scores,
-                                      size_t window, double alpha) {
-  if (window == 0 || window >= scores.size()) {
-    return ConformalScoreQuantile(scores, alpha);
-  }
-  std::vector<double> tail(scores.end() - static_cast<ptrdiff_t>(window),
-                           scores.end());
-  return ConformalScoreQuantile(tail, alpha);
-}
-
 std::vector<metrics::Interval> ConformalIntervals(
     const std::vector<double>& roi_hat, const std::vector<double>& r_hat,
     double q_hat, double std_floor) {

@@ -1,7 +1,6 @@
 #ifndef ROICL_CORE_CONFORMAL_H_
 #define ROICL_CORE_CONFORMAL_H_
 
-#include <cstddef>
 #include <vector>
 
 #include "metrics/coverage.h"
@@ -37,14 +36,6 @@ std::vector<double> ConformalScores(double roi_star,
 /// so a starved calibration window is visible in the metrics snapshot.
 double ConformalScoreQuantile(const std::vector<double>& scores,
                               double alpha);
-
-/// Rolling-window entry point for online recalibration: the conformal
-/// quantile over the most recent `window` scores (`scores` is in arrival
-/// order; `window` of 0, or >= scores.size(), uses every score). Shares
-/// ConformalScoreQuantile's metrics and starved-window warning, so a
-/// sliding window that shrank below ceil((1-alpha)(n+1)) is loud.
-double WindowedConformalScoreQuantile(const std::vector<double>& scores,
-                                      std::size_t window, double alpha);
 
 /// Algorithm 3, step 6: C(x) = [roi_hat - r_hat * q_hat,
 ///                              roi_hat + r_hat * q_hat] per sample.

@@ -169,13 +169,6 @@ LoadPhaseStat ToStat(const std::string& phase,
   return stat;
 }
 
-std::string RenderNumber(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.10g", v);
-  return buffer;
-}
-
 }  // namespace
 
 std::string LoadReplayResult::ToJson() const {
@@ -190,9 +183,9 @@ std::string LoadReplayResult::ToJson() const {
     out += ",\"deadline_exceeded\":" +
            std::to_string(p.deadline_exceeded);
     out += ",\"errors\":" + std::to_string(p.errors);
-    out += ",\"p50_us\":" + RenderNumber(p.p50_us);
-    out += ",\"p95_us\":" + RenderNumber(p.p95_us);
-    out += ",\"p99_us\":" + RenderNumber(p.p99_us);
+    out += ",\"p50_us\":" + obs::JsonNumber(p.p50_us);
+    out += ",\"p95_us\":" + obs::JsonNumber(p.p95_us);
+    out += ",\"p99_us\":" + obs::JsonNumber(p.p99_us);
     out += '}';
   }
   out += "],\"stages\":[";
@@ -201,8 +194,8 @@ std::string LoadReplayResult::ToJson() const {
     if (i > 0) out += ',';
     out += "{\"stage\":\"" + s.stage + "\"";
     out += ",\"count\":" + std::to_string(s.count);
-    out += ",\"p50_us\":" + RenderNumber(s.p50_us);
-    out += ",\"p99_us\":" + RenderNumber(s.p99_us);
+    out += ",\"p50_us\":" + obs::JsonNumber(s.p50_us);
+    out += ",\"p99_us\":" + obs::JsonNumber(s.p99_us);
     out += ",\"exemplar_trace_ids\":[";
     for (size_t j = 0; j < s.exemplar_trace_ids.size(); ++j) {
       if (j > 0) out += ',';
@@ -217,10 +210,10 @@ std::string LoadReplayResult::ToJson() const {
   out += ",\"deadline_exceeded\":" +
          std::to_string(total_deadline_exceeded);
   out += ",\"errors\":" + std::to_string(total_errors);
-  out += ",\"reject_rate\":" + RenderNumber(reject_rate);
-  out += ",\"p50_us\":" + RenderNumber(p50_us);
-  out += ",\"p95_us\":" + RenderNumber(p95_us);
-  out += ",\"p99_us\":" + RenderNumber(p99_us);
+  out += ",\"reject_rate\":" + obs::JsonNumber(reject_rate);
+  out += ",\"p50_us\":" + obs::JsonNumber(p50_us);
+  out += ",\"p95_us\":" + obs::JsonNumber(p95_us);
+  out += ",\"p99_us\":" + obs::JsonNumber(p99_us);
   out += ",\"quantile_swaps\":" + std::to_string(quantile_swaps);
   out += "},\"slo\":" + slo_verdict_json;
   out += ",\"slo_worst_state\":\"" + slo_worst_state + "\"";
@@ -365,7 +358,9 @@ StatusOr<LoadReplayResult> RunLoadReplay(pipeline::Pipeline pipeline,
                          outcome.latencies.end());
 
     // Labeled feedback between phases keeps the coverage and drift SLOs
-    // fed and lets the recalibrator react to what the phase did.
+    // fed, and a forced recalibration lets the recalibrator react to what
+    // the phase did: the replay stream is unshifted, so waiting for a
+    // drift trigger would never swap the quantile.
     if (options.feedback_rows > 0 && !result.interrupted) {
       RctDataset feedback =
           TakeFeedback(stream, feedback_cursor, options.feedback_rows);
@@ -373,7 +368,8 @@ StatusOr<LoadReplayResult> RunLoadReplay(pipeline::Pipeline pipeline,
       if (Status status = monitor.AddOutcomes(feedback); !status.ok()) {
         return status;
       }
-      StatusOr<RecalibrationResult> recal = monitor.MaybeRecalibrate();
+      StatusOr<RecalibrationResult> recal =
+          monitor.MaybeRecalibrate(/*force=*/true);
       if (!recal.ok()) return recal.status();
     }
   }

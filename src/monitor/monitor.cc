@@ -143,9 +143,8 @@ StatusOr<std::unique_ptr<ServingMonitor>> ServingMonitor::FromCalibration(
 
   double alpha = pipeline->hyperparams().alpha;
   options.coverage.alpha = alpha;
-  RollingRecalibrator recalibrator(backend, roi_star,
-                                   std::move(calibration_scores), alpha,
-                                   options.recalibrator);
+  RollingRecalibrator recalibrator(backend, std::move(calibration_scores),
+                                   alpha, options.recalibrator);
   CoverageTracker tracker(options.coverage);
 
   const int num_channels = detector.num_channels();
@@ -315,17 +314,14 @@ Status ServingMonitor::AddOutcomes(const RctDataset& feedback) {
     return status;
   }
 
-  for (int i = 0; i < feedback.n(); ++i) {
-    FeedbackSample sample;
-    sample.x = feedback.x.Row(i);
-    sample.treatment = feedback.treatment[AsSize(i)];
-    sample.y_revenue = feedback.y_revenue[AsSize(i)];
-    sample.y_cost = feedback.y_cost[AsSize(i)];
-    sample.roi_hat = inputs.roi_hat[AsSize(i)];
-    sample.r_hat = inputs.r_hat[AsSize(i)];
-    sample.aux_lo = aux_lo[AsSize(i)];
-    sample.aux_hi = aux_hi[AsSize(i)];
-    recalibrator_.AddOutcome(std::move(sample));
+  for (size_t i = 0; i < AsSize(feedback.n()); ++i) {
+    recalibrator_.AddOutcome({.treatment = feedback.treatment[i],
+                              .y_revenue = feedback.y_revenue[i],
+                              .y_cost = feedback.y_cost[i],
+                              .roi_hat = inputs.roi_hat[i],
+                              .r_hat = inputs.r_hat[i],
+                              .aux_lo = aux_lo[i],
+                              .aux_hi = aux_hi[i]});
   }
 
   // Score the batch against the freshest convergence point available:
@@ -333,10 +329,7 @@ Status ServingMonitor::AddOutcomes(const RctDataset& feedback) {
   // the frozen calibration roi* until then.
   double roi_star = roi_star_calibration_;
   if (recalibrator_.CanRecalibrateLabeled()) {
-    RctDataset window = recalibrator_.WindowDataset();
-    roi_star = core::BinarySearchRoiStar(
-        window.treatment, window.y_revenue, window.y_cost,
-        options_.recalibrator.epsilon);
+    roi_star = recalibrator_.WindowRoiStar();
     metrics.GetGauge("monitor.roi_star_window")->Set(roi_star);
   }
   std::vector<double> scores;

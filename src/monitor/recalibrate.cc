@@ -6,8 +6,10 @@
 
 #include "common/macros.h"
 #include "common/math_util.h"
+#include "common/stats.h"
 #include "core/conformal.h"
 #include "core/roi_star.h"
+#include "data/dataset.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -37,11 +39,10 @@ double AdaptiveAlpha::Update(bool covered) {
 }
 
 RollingRecalibrator::RollingRecalibrator(
-    const core::IntervalBackend* backend, double roi_star_anchor,
+    const core::IntervalBackend* backend,
     std::vector<double> calibration_scores, double target_alpha,
     RecalibratorOptions options)
     : backend_(backend),
-      anchor_(roi_star_anchor),
       calibration_scores_(std::move(calibration_scores)),
       target_alpha_(target_alpha),
       options_(options),
@@ -53,33 +54,19 @@ RollingRecalibrator::RollingRecalibrator(
                   "recalibrator needs calibration scores for the "
                   "label-free fallback");
   ROICL_CHECK(options_.max_window > 0);
-  ROICL_CHECK_MSG(std::isfinite(anchor_), "roi* anchor must be finite");
-}
-
-double RollingRecalibrator::ScoreAt(const FeedbackSample& sample,
-                                    double roi_star) const {
-  return backend_->StreamScore(sample.roi_hat, sample.r_hat, roi_star,
-                               sample.aux_lo, sample.aux_hi);
 }
 
 void RollingRecalibrator::AddOutcome(FeedbackSample sample) {
-  Entry entry;
-  entry.score = ScoreAt(sample, anchor_);
-  entry.sample = std::move(sample);
-  iq_.Insert(entry.score);
-  window_.push_back(std::move(entry));
-  while (window_.size() > options_.max_window) {
-    ROICL_CHECK(iq_.Erase(window_.front().score));
-    window_.pop_front();
-  }
+  window_.push_back(sample);
+  while (window_.size() > options_.max_window) window_.pop_front();
 }
 
 bool RollingRecalibrator::CanRecalibrateLabeled() const {
   if (window_.size() < options_.min_labeled) return false;
   bool has_treated = false;
   bool has_control = false;
-  for (const Entry& entry : window_) {
-    if (entry.sample.treatment == 1) {
+  for (const FeedbackSample& sample : window_) {
+    if (sample.treatment == 1) {
       has_treated = true;
     } else {
       has_control = true;
@@ -91,32 +78,28 @@ bool RollingRecalibrator::CanRecalibrateLabeled() const {
   std::vector<double> y_cost;
   treatment.reserve(window_.size());
   y_cost.reserve(window_.size());
-  for (const Entry& entry : window_) {
-    treatment.push_back(entry.sample.treatment);
-    y_cost.push_back(entry.sample.y_cost);
+  for (const FeedbackSample& sample : window_) {
+    treatment.push_back(sample.treatment);
+    y_cost.push_back(sample.y_cost);
   }
   return RctDataset::DiffInMeans(treatment, y_cost) > 0.0;
 }
 
-RctDataset RollingRecalibrator::WindowDataset() const {
+double RollingRecalibrator::WindowRoiStar() const {
   ROICL_CHECK_MSG(!window_.empty(), "empty feedback window");
-  RctDataset dataset;
-  for (const Entry& entry : window_) {
-    dataset.x.AppendRow(entry.sample.x);
-    dataset.treatment.push_back(entry.sample.treatment);
-    dataset.y_revenue.push_back(entry.sample.y_revenue);
-    dataset.y_cost.push_back(entry.sample.y_cost);
+  std::vector<int> treatment;
+  std::vector<double> y_revenue;
+  std::vector<double> y_cost;
+  treatment.reserve(window_.size());
+  y_revenue.reserve(window_.size());
+  y_cost.reserve(window_.size());
+  for (const FeedbackSample& sample : window_) {
+    treatment.push_back(sample.treatment);
+    y_revenue.push_back(sample.y_revenue);
+    y_cost.push_back(sample.y_cost);
   }
-  return dataset;
-}
-
-void RollingRecalibrator::ReanchorLocked(double roi_star) {
-  anchor_ = roi_star;
-  iq_.Clear();
-  for (Entry& entry : window_) {
-    entry.score = ScoreAt(entry.sample, anchor_);
-    iq_.Insert(entry.score);
-  }
+  return core::BinarySearchRoiStar(treatment, y_revenue, y_cost,
+                                   options_.epsilon);
 }
 
 StatusOr<RecalibrationResult> RollingRecalibrator::Recalibrate(
@@ -130,38 +113,35 @@ StatusOr<RecalibrationResult> RollingRecalibrator::Recalibrate(
   double q_new = 0.0;
   bool handled = false;
   if (CanRecalibrateLabeled()) {
-    // Algorithm 2 on the window's scalar outcome columns, then Algorithm
-    // 3 at the target alpha over the cached-ingredient scores: a fresh
-    // split-conformal calibration on current-traffic labels with no
-    // MC sweep in the loop.
-    std::vector<int> treatment;
-    std::vector<double> y_revenue;
-    std::vector<double> y_cost;
-    treatment.reserve(window_.size());
-    y_revenue.reserve(window_.size());
-    y_cost.reserve(window_.size());
-    for (const Entry& entry : window_) {
-      treatment.push_back(entry.sample.treatment);
-      y_revenue.push_back(entry.sample.y_revenue);
-      y_cost.push_back(entry.sample.y_cost);
+    // Algorithm 2 on the window's outcome columns, then Algorithm 3 at
+    // the target alpha over the window rescored at that roi* from the
+    // cached ingredients: a fresh split-conformal calibration on
+    // current-traffic labels with no MC sweep in the loop.
+    double roi_star = WindowRoiStar();
+    std::vector<double> scores;
+    scores.reserve(window_.size());
+    for (const FeedbackSample& sample : window_) {
+      double score = backend_->StreamScore(sample.roi_hat, sample.r_hat,
+                                           roi_star, sample.aux_lo,
+                                           sample.aux_hi);
+      ROICL_CHECK_MSG(std::isfinite(score),
+                      "feedback conformity scores must be finite");
+      scores.push_back(score);
     }
-    double roi_star = core::BinarySearchRoiStar(treatment, y_revenue,
-                                                y_cost, options_.epsilon);
-    // Re-anchoring on any change keeps the window's scores bitwise equal
-    // to a batch rescoring at the new roi*.
-    if (std::fabs(roi_star - anchor_) > 0.0) ReanchorLocked(roi_star);
     result.roi_star = roi_star;
-    q_new = iq_.QHat(target_alpha_);
+    // The bare rank: ConformalScoreQuantile would also record every
+    // window score in the calibration-time `conformal.score` histogram.
+    q_new = ConformalQuantile(scores, target_alpha_);
     metrics.GetGauge("conformal.calibration_n")
-        ->Set(static_cast<double>(iq_.size()));
+        ->Set(static_cast<double>(scores.size()));
     if (!std::isfinite(q_new)) {
       // Same convention as train-time calibration: the most conservative
       // finite quantile when the rank exceeds the window.
       metrics.GetCounter("conformal.qhat_infinite")->Increment();
       obs::Warn("conformal quantile infinite; using max score",
                 {{"q_hat", q_new},
-                 {"calibration_n", AsInt(iq_.size())}});
-      q_new = iq_.Kth(iq_.size());
+                 {"calibration_n", AsInt(scores.size())}});
+      q_new = *std::max_element(scores.begin(), scores.end());
     }
     metrics.GetGauge("conformal.q_hat")->Set(q_new);
     result.labeled = true;
@@ -190,9 +170,8 @@ StatusOr<RecalibrationResult> RollingRecalibrator::Recalibrate(
     // below target, so the rank moves up the score distribution and the
     // intervals widen — no labels required.
     result.alpha_used = aci_.value();
-    q_new = core::WindowedConformalScoreQuantile(
-        calibration_scores_, calibration_scores_.size(),
-        result.alpha_used);
+    q_new = core::ConformalScoreQuantile(calibration_scores_,
+                                         result.alpha_used);
     if (!std::isfinite(q_new)) {
       q_new = *std::max_element(calibration_scores_.begin(),
                                 calibration_scores_.end());

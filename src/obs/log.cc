@@ -15,14 +15,6 @@ double UnixSecondsNow() {
       .count();
 }
 
-/// Shortest representation that round-trips doubles through text well
-/// enough for diagnostics; non-finite values are handled by the caller.
-std::string RenderDouble(double v) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.10g", v);
-  return buffer;
-}
-
 bool NeedsQuoting(const std::string& value) {
   if (value.empty()) return true;
   for (char c : value) {
@@ -75,6 +67,13 @@ uint32_t CurrentThreadId() {
   return id;
 }
 
+std::string JsonNumber(double v) {
+  if (!std::isfinite(v)) return "null";
+  char buffer[32];
+  std::snprintf(buffer, sizeof(buffer), "%.10g", v);
+  return buffer;
+}
+
 std::string JsonEscape(std::string_view text) {
   std::string out;
   out.reserve(text.size() + 2);
@@ -111,7 +110,7 @@ std::string JsonEscape(std::string_view text) {
 
 LogField::LogField(std::string_view k, double v) : key(k), quoted(false) {
   if (std::isfinite(v)) {
-    value = RenderDouble(v);
+    value = JsonNumber(v);
   } else {
     // JSON has no Infinity/NaN literals; quote so sinks stay parseable.
     value = v > 0 ? "inf" : (v < 0 ? "-inf" : "nan");
@@ -154,7 +153,7 @@ void JsonLinesSink::Write(const LogRecord& record) {
   std::string line;
   line.reserve(128);
   line += "{\"ts\":";
-  line += RenderDouble(record.unix_seconds);
+  line += JsonNumber(record.unix_seconds);
   line += ",\"level\":\"";
   line += LogLevelName(record.level);
   line += "\",\"tid\":";

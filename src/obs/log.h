@@ -50,6 +50,11 @@ bool ParseLogLevel(std::string_view text, LogLevel* out);
 /// two streams can be correlated.
 uint32_t CurrentThreadId();
 
+/// Renders `v` as a JSON number with ten significant digits ("%.10g"),
+/// enough to round-trip diagnostics; `null` when `v` is not finite (JSON
+/// has no Infinity or NaN literals).
+std::string JsonNumber(double v);
+
 /// Escapes `text` for inclusion inside a JSON string literal (quotes,
 /// backslashes, control characters).
 std::string JsonEscape(std::string_view text);

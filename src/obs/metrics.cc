@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 
 #include "obs/log.h"
@@ -15,13 +14,6 @@ void AtomicAddDouble(std::atomic<double>* target, double delta) {
   while (!target->compare_exchange_weak(expected, expected + delta,
                                         std::memory_order_relaxed)) {
   }
-}
-
-std::string RenderJsonNumber(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.10g", v);
-  return buffer;
 }
 
 }  // namespace
@@ -191,7 +183,7 @@ std::string MetricsRegistry::SnapshotJson() const {
     out += '"';
     out += JsonEscape(name);
     out += "\":";
-    out += RenderJsonNumber(gauge->value());
+    out += JsonNumber(gauge->value());
   }
   out += "},\"histograms\":{";
   first = true;
@@ -203,12 +195,12 @@ std::string MetricsRegistry::SnapshotJson() const {
     out += "\":{\"count\":";
     out += std::to_string(histogram->count());
     out += ",\"sum\":";
-    out += RenderJsonNumber(histogram->sum());
+    out += JsonNumber(histogram->sum());
     out += ",\"bounds\":[";
     const std::vector<double>& bounds = histogram->upper_bounds();
     for (size_t i = 0; i < bounds.size(); ++i) {
       if (i > 0) out += ',';
-      out += RenderJsonNumber(bounds[i]);
+      out += JsonNumber(bounds[i]);
     }
     out += "],\"counts\":[";
     std::vector<uint64_t> counts = histogram->BucketCounts();
@@ -217,11 +209,11 @@ std::string MetricsRegistry::SnapshotJson() const {
       out += std::to_string(counts[i]);
     }
     out += "],\"p50\":";
-    out += RenderJsonNumber(histogram->ApproxQuantile(0.50));
+    out += JsonNumber(histogram->ApproxQuantile(0.50));
     out += ",\"p95\":";
-    out += RenderJsonNumber(histogram->ApproxQuantile(0.95));
+    out += JsonNumber(histogram->ApproxQuantile(0.95));
     out += ",\"p99\":";
-    out += RenderJsonNumber(histogram->ApproxQuantile(0.99));
+    out += JsonNumber(histogram->ApproxQuantile(0.99));
     std::vector<Exemplar> exemplars = histogram->Exemplars();
     bool any_valid = false;
     for (const Exemplar& e : exemplars) any_valid |= e.valid;
@@ -235,7 +227,7 @@ std::string MetricsRegistry::SnapshotJson() const {
         out += "{\"bucket\":";
         out += std::to_string(i);
         out += ",\"value\":";
-        out += RenderJsonNumber(exemplars[i].value);
+        out += JsonNumber(exemplars[i].value);
         out += ",\"trace_id\":";
         out += std::to_string(exemplars[i].trace_id);
         out += '}';
@@ -268,9 +260,7 @@ std::string PromName(const std::string& name) {
 std::string PromNumber(double v) {
   if (std::isnan(v)) return "NaN";
   if (std::isinf(v)) return v > 0 ? "+Inf" : "-Inf";
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.10g", v);
-  return buffer;
+  return JsonNumber(v);
 }
 
 }  // namespace

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
@@ -11,13 +10,6 @@
 
 namespace roicl::obs {
 namespace {
-
-std::string RenderNumber(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.10g", v);
-  return buffer;
-}
 
 bool ParseDouble(std::string_view text, double* out) {
   try {
@@ -159,7 +151,7 @@ bool ParseSloSpecs(std::string_view text, std::vector<SloSpec>* specs,
     }
     if (BudgetFor(spec.kind, spec.target) <= 0.0) {
       return fail("slo '" + spec.name + "': target " +
-                  RenderNumber(spec.target) + " is out of range for kind " +
+                  JsonNumber(spec.target) + " is out of range for kind " +
                   std::string(SloKindName(spec.kind)));
     }
     if (spec.short_window < 1) {
@@ -353,15 +345,15 @@ std::string SloEngine::VerdictJson() const {
     out += "\",\"kind\":\"";
     out += SloKindName(tracker.spec.kind);
     out += "\",\"target\":";
-    out += RenderNumber(tracker.spec.target);
+    out += JsonNumber(tracker.spec.target);
     out += ",\"state\":\"";
     out += SloStateName(tracker.state);
     out += "\",\"peak\":\"";
     out += SloStateName(tracker.peak);
     out += "\",\"short_burn\":";
-    out += RenderNumber(tracker.short_burn);
+    out += JsonNumber(tracker.short_burn);
     out += ",\"long_burn\":";
-    out += RenderNumber(tracker.long_burn);
+    out += JsonNumber(tracker.long_burn);
     out += ",\"events\":";
     out += std::to_string(tracker.events);
     out += ",\"bad_events\":";

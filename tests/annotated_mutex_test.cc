@@ -8,7 +8,7 @@
 // Behavior tests for the capability-annotated mutex layer. Two jobs:
 // (1) prove the wrappers are functionally identical to the std primitives
 // they replace — mutual exclusion, TryLock contention semantics, CondVar
-// wakeups — including under TSan (this test is in run_tsan.sh); (2) pin
+// wakeups — including under TSan (this test is in the tsan suite); (2) pin
 // the GCC no-op expansion: this file compiles in every build-matrix config
 // with the annotations active only under clang, so a macro that stopped
 // expanding cleanly would break the whole matrix, not just the TSA row.

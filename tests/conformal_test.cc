@@ -114,24 +114,5 @@ TEST(ConformalQuantileTest, StarvedCalibrationCountsAndReturnsInfinity) {
   EXPECT_EQ(counter->value(), 1u);
 }
 
-TEST(WindowedConformalQuantileTest, UsesOnlyTheMostRecentScores) {
-  // Arrival order: 100 small scores, then 100 large ones. A window of
-  // 100 must quantile only the large tail; the full set mixes both.
-  std::vector<double> scores;
-  for (int i = 0; i < 100; ++i) scores.push_back(0.01 * i);
-  for (int i = 0; i < 100; ++i) scores.push_back(10.0 + 0.01 * i);
-  double windowed = WindowedConformalScoreQuantile(scores, 100, 0.1);
-  EXPECT_GE(windowed, 10.0) << "old scores leaked into the window";
-  EXPECT_EQ(windowed, ConformalScoreQuantile(
-                          {scores.begin() + 100, scores.end()}, 0.1));
-  // window = 0 and window >= n both mean "use everything".
-  EXPECT_EQ(WindowedConformalScoreQuantile(scores, 0, 0.1),
-            ConformalScoreQuantile(scores, 0.1));
-  EXPECT_EQ(WindowedConformalScoreQuantile(scores, 5000, 0.1),
-            ConformalScoreQuantile(scores, 0.1));
-  // A starved window degenerates to +inf like the full-set quantile.
-  EXPECT_TRUE(std::isinf(WindowedConformalScoreQuantile(scores, 3, 0.1)));
-}
-
 }  // namespace
 }  // namespace roicl::core

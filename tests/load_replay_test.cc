@@ -3,7 +3,8 @@
 // count conservation, deliberate SLO breach, JSON report shape), exemplar
 // trace IDs resolving to complete flows in the exported trace, and the
 // swap_storm phase racing mid-flight conformal-quantile swaps against
-// scoring — the latter runs under ThreadSanitizer via tools/run_tsan.sh.
+// scoring — the latter runs under ThreadSanitizer via
+// tools/run_sanitizer.sh thread.
 
 #include <gtest/gtest.h>
 
@@ -210,6 +211,13 @@ TEST(LoadReplayTest, SmokeRunBreachesSlosAndResolvesExemplarsToFlows) {
   EXPECT_GE(result.p99_us, result.p50_us);
   EXPECT_GT(result.quantile_swaps, 0) << "swap_storm did not race";
   EXPECT_FALSE(result.interrupted);
+  // Every phase fed the monitor labeled outcomes, and each feedback batch
+  // forces one recalibration through the bound quantile swap.
+  ASSERT_GT(options.feedback_rows, 0);
+  EXPECT_EQ(obs::MetricsRegistry::Global()
+                .GetCounter("monitor.recalibrations")
+                ->value(),
+            result.phases.size());
 
   // Stage breakdown covers the whole request lane, and every
   // serve.stage.* histogram was written by the service: a stage whose

@@ -2,11 +2,13 @@
 // counter state, the shadow coverage ring, the ACI fallback state, the
 // rolling recalibrator, and the ServingMonitor glued to a live pipeline
 // and ScoringService. The concurrency tests run under ThreadSanitizer
-// (tools/run_tsan.sh) as the data-race gate for the monitoring layer —
-// in particular the atomic q_hat swap racing concurrent scoring.
+// (tools/run_sanitizer.sh thread) as the data-race gate for the
+// monitoring layer — in particular the atomic q_hat swap racing
+// concurrent scoring.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <future>
@@ -19,13 +21,16 @@
 
 #include "common/macros.h"
 #include "common/math_util.h"
+#include "common/stats.h"
 #include "core/conformal.h"
 #include "core/interval_backend.h"
+#include "core/roi_star.h"
 #include "monitor/coverage_tracker.h"
 #include "monitor/drift.h"
 #include "monitor/monitor.h"
 #include "monitor/recalibrate.h"
 #include "monitor/replay.h"
+#include "obs/metrics.h"
 #include "pipeline/pipeline.h"
 #include "pipeline/service.h"
 #include "synth/shift.h"
@@ -249,16 +254,14 @@ TEST(RollingRecalibrator, WindowIsBoundedAndGatesTheLabeledPath) {
   RecalibratorOptions options;
   options.max_window = 100;
   options.min_labeled = 50;
-  RollingRecalibrator recal(backend.get(), /*roi_star_anchor=*/0.5,
-                            {1.0, 2.0, 3.0}, /*target_alpha=*/0.1,
-                            options);
+  RollingRecalibrator recal(backend.get(), {1.0, 2.0, 3.0},
+                            /*target_alpha=*/0.1, options);
   EXPECT_FALSE(recal.CanRecalibrateLabeled());
 
   // Treated-only feedback never supports Algorithm 2...
   RctDataset data = Gen(200, 31);
   for (int i = 0; i < data.n(); ++i) {
     FeedbackSample sample;
-    sample.x = data.x.Row(i);
     sample.treatment = 1;
     sample.y_revenue = data.y_revenue[AsSize(i)];
     sample.y_cost = data.y_cost[AsSize(i)] + 1.0;  // positive cost
@@ -272,7 +275,6 @@ TEST(RollingRecalibrator, WindowIsBoundedAndGatesTheLabeledPath) {
   // ...but a genuine two-arm window with positive cost lift does.
   for (int i = 0; i < data.n(); ++i) {
     FeedbackSample sample;
-    sample.x = data.x.Row(i);
     sample.treatment = data.treatment[AsSize(i)];
     sample.y_revenue = data.y_revenue[AsSize(i)];
     sample.y_cost = data.treatment[AsSize(i)] == 1
@@ -283,9 +285,7 @@ TEST(RollingRecalibrator, WindowIsBoundedAndGatesTheLabeledPath) {
     recal.AddOutcome(std::move(sample));
   }
   EXPECT_TRUE(recal.CanRecalibrateLabeled());
-  RctDataset window = recal.WindowDataset();
-  EXPECT_EQ(window.n(), 100);
-  EXPECT_EQ(window.dim(), data.dim());
+  EXPECT_TRUE(std::isfinite(recal.WindowRoiStar()));
 }
 
 TEST(RollingRecalibrator, FallbackRequantilesCalibrationScoresViaAci) {
@@ -294,9 +294,8 @@ TEST(RollingRecalibrator, FallbackRequantilesCalibrationScoresViaAci) {
   for (int i = 1; i <= 100; ++i) calibration_scores.push_back(i * 0.1);
   RecalibratorOptions options;
   options.min_labeled = 50;  // empty window -> label-free path
-  RollingRecalibrator recal(backend.get(), /*roi_star_anchor=*/0.5,
-                            calibration_scores, /*target_alpha=*/0.1,
-                            options);
+  RollingRecalibrator recal(backend.get(), calibration_scores,
+                            /*target_alpha=*/0.1, options);
 
   // Drive ACI downward with persistent misses: the fallback quantile
   // must widen (a smaller effective alpha picks a higher score rank).
@@ -322,9 +321,8 @@ TEST(RollingRecalibrator, WeightedFallbackRepairsUnderShiftedLiveMass) {
   std::vector<double> calibration_scores(backend->calibration_scores());
   RecalibratorOptions options;
   options.min_labeled = 50;  // empty window -> label-free path
-  RollingRecalibrator recal(backend.get(), /*roi_star_anchor=*/0.5,
-                            calibration_scores, /*target_alpha=*/0.2,
-                            options);
+  RollingRecalibrator recal(backend.get(), calibration_scores,
+                            /*target_alpha=*/0.2, options);
 
   // Uniform live mass: the weighted quantile must agree with the plain
   // unweighted rank over the same scores.
@@ -355,13 +353,11 @@ TEST(RollingRecalibrator, LabeledPathRecomputesRoiStarAndQuantile) {
   auto backend = CalibratedBackend();
   RecalibratorOptions options;
   options.min_labeled = 50;
-  RollingRecalibrator recal(backend.get(), /*roi_star_anchor=*/0.5,
-                            {0.5, 1.0, 1.5}, /*target_alpha=*/0.1,
-                            options);
+  RollingRecalibrator recal(backend.get(), {0.5, 1.0, 1.5},
+                            /*target_alpha=*/0.1, options);
   RctDataset feedback = Gen(300, 41);
   for (int i = 0; i < feedback.n(); ++i) {
     FeedbackSample sample;
-    sample.x = feedback.x.Row(i);
     sample.treatment = feedback.treatment[AsSize(i)];
     sample.y_revenue = feedback.y_revenue[AsSize(i)];
     sample.y_cost = feedback.y_cost[AsSize(i)];
@@ -381,13 +377,11 @@ TEST(RollingRecalibrator, LabeledPathRecomputesRoiStarAndQuantile) {
   EXPECT_TRUE(std::isfinite(result.value().roi_star));
   EXPECT_TRUE(std::isfinite(result.value().q_hat_after));
   EXPECT_GE(result.value().q_hat_after, 0.0);
-  EXPECT_EQ(recal.roi_star_anchor(), result.value().roi_star)
-      << "labeled path re-anchors the window scores";
 
-  // The incremental-quantile answer must be bitwise the batch Algorithm
-  // 3 recompute over the same cached ingredients at the window roi*.
+  // The window answer must be bitwise the batch Algorithm 3 recompute
+  // over the same cached ingredients at the window roi*.
   std::vector<double> batch_scores;
-  RctDataset window = recal.WindowDataset();
+  EXPECT_EQ(recal.WindowRoiStar(), result.value().roi_star);
   for (int i = 0; i < feedback.n(); ++i) {
     double score = backend->StreamScore(0.3 + 0.001 * (i % 100),
                                         0.05 + 0.01 * (i % 5),
@@ -396,6 +390,98 @@ TEST(RollingRecalibrator, LabeledPathRecomputesRoiStarAndQuantile) {
   }
   EXPECT_EQ(result.value().q_hat_after,
             core::ConformalScoreQuantile(batch_scores, 0.1));
+}
+
+// The window holds exactly the most recent max_window outcomes: across
+// seeds and window sizes, with eviction under way, every labeled
+// recalibration is bitwise Algorithms 2 + 3 over the newest max_window
+// samples alone.
+TEST(RollingRecalibrator, WindowQuantileMatchesBatchAcrossSeedsAndChurn) {
+  auto backend = CalibratedBackend();
+  RctDataset feedback = Gen(600, 43);
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    for (size_t max_window : {60u, 150u, 400u}) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " window "
+                                      << max_window);
+      RecalibratorOptions options;
+      options.max_window = max_window;
+      options.min_labeled = 50;
+      RollingRecalibrator recal(backend.get(), {1.0},
+                                /*target_alpha=*/0.1, options);
+      Rng rng(seed);
+      std::vector<FeedbackSample> arrived;
+      for (size_t i = 0; i < AsSize(feedback.n()); ++i) {
+        FeedbackSample sample{.treatment = feedback.treatment[i],
+                              .y_revenue = feedback.y_revenue[i],
+                              .y_cost = feedback.y_cost[i],
+                              .roi_hat = rng.Uniform(),
+                              .r_hat = 0.05 + 0.1 * rng.Uniform()};
+        arrived.push_back(sample);
+        recal.AddOutcome(sample);
+        if ((i + 1) % 97 != 0 || !recal.CanRecalibrateLabeled()) continue;
+
+        size_t n = std::min(max_window, arrived.size());
+        ASSERT_EQ(recal.window_n(), n);
+        std::vector<int> treatment;
+        std::vector<double> y_revenue;
+        std::vector<double> y_cost;
+        for (size_t k = arrived.size() - n; k < arrived.size(); ++k) {
+          treatment.push_back(arrived[k].treatment);
+          y_revenue.push_back(arrived[k].y_revenue);
+          y_cost.push_back(arrived[k].y_cost);
+        }
+        double roi_star = core::BinarySearchRoiStar(
+            treatment, y_revenue, y_cost, options.epsilon);
+        std::vector<double> scores;
+        for (size_t k = arrived.size() - n; k < arrived.size(); ++k) {
+          scores.push_back(backend->StreamScore(arrived[k].roi_hat,
+                                                arrived[k].r_hat, roi_star,
+                                                0.0, 0.0));
+        }
+        StatusOr<RecalibrationResult> result =
+            recal.Recalibrate(/*q_hat_current=*/1.0, {});
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        ASSERT_TRUE(result.value().labeled);
+        EXPECT_EQ(result.value().roi_star, roi_star);
+        EXPECT_EQ(result.value().q_hat_after, ConformalQuantile(scores, 0.1));
+      }
+    }
+  }
+}
+
+// A window too small for the target alpha (rank ceil((1-alpha)(n+1)) > n)
+// takes its largest score, the most conservative finite quantile, and
+// counts the infinite rank.
+TEST(RollingRecalibrator, StarvedWindowFallsBackToItsMaxScore) {
+  auto backend = CalibratedBackend();
+  RecalibratorOptions options;
+  options.min_labeled = 5;
+  RollingRecalibrator recal(backend.get(), {1.0}, /*target_alpha=*/0.1,
+                            options);
+  for (int i = 0; i < 8; ++i) {
+    int treated = i % 2;
+    recal.AddOutcome({.treatment = treated,
+                      .y_revenue = 0.5 * treated,
+                      .y_cost = 1.0 * treated,
+                      .roi_hat = 0.3 + 0.01 * i,
+                      .r_hat = 0.1});
+  }
+  ASSERT_TRUE(recal.CanRecalibrateLabeled());
+  obs::Counter* infinite =
+      obs::MetricsRegistry::Global().GetCounter("conformal.qhat_infinite");
+  infinite->Reset();
+  StatusOr<RecalibrationResult> result =
+      recal.Recalibrate(/*q_hat_current=*/1.0, {});
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_TRUE(result.value().labeled);
+  double max_score = 0.0;
+  for (int i = 0; i < 8; ++i) {
+    max_score = std::max(
+        max_score, backend->StreamScore(0.3 + 0.01 * i, 0.1,
+                                        result.value().roi_star, 0.0, 0.0));
+  }
+  EXPECT_EQ(result.value().q_hat_after, max_score);
+  EXPECT_EQ(infinite->value(), 1u);
 }
 
 // ---------------------------------------------------------------------

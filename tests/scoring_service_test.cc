@@ -1,8 +1,9 @@
 // ScoringService contract: N client threads submitting interleaved
 // requests get exactly the scores a serial in-process pass produces,
 // bit for bit. Also covers queue rejection, deadlines, and clean
-// shutdown. This test runs under ThreadSanitizer (tools/run_tsan.sh) as
-// the data-race gate for the serving layer.
+// shutdown. This test runs under ThreadSanitizer
+// (tools/run_sanitizer.sh thread) as the data-race gate for the serving
+// layer.
 
 #include <gtest/gtest.h>
 
@@ -358,8 +359,8 @@ TEST(ScoringService, ShadowStageOnPointScorerServesWithoutErrors) {
 // double would produce a score matching none of them. Exercised for
 // every interval backend: the live quantile stays the model's single
 // atomic scalar regardless of which backend calibrated it, which is
-// exactly what makes the swap backend-agnostic. TSan-covered via
-// run_tsan.sh.
+// exactly what makes the swap backend-agnostic. TSan-covered by the
+// tsan suite.
 void RunQuantileSwapTearTest(const std::string& backend_name) {
   pipeline::Hyperparams hp;
   hp.neural_epochs = 3;
