@@ -28,6 +28,11 @@ constexpr std::size_t kMaxPersistedRows = 10000000;
 constexpr double kWeightClampLo = 1e-2;
 constexpr double kWeightClampHi = 1e2;
 
+/// The artifact magic of backend `name`, checked by Load.
+std::string MagicOf(const std::string& name) {
+  return "roicl-ivb-" + name + "-v1";
+}
+
 double MaxOf(const std::vector<double>& values) {
   return *std::max_element(values.begin(), values.end());
 }
@@ -81,27 +86,6 @@ StatusOr<double> IntervalBackend::FallbackQHat(
                                     "' has no weighted fallback");
 }
 
-Status IntervalBackend::InitFromState(const IntervalBackend& other) {
-  if (!other.calibrated()) {
-    return Status::FailedPrecondition(
-        "source interval backend is not calibrated");
-  }
-  if (!other.SharesSplitScoreSemantics()) {
-    return Status::FailedPrecondition(
-        "interval backend '" + other.name() +
-        "' scores are not Eq.(3) scores; rebinding from it needs a "
-        "calibration dataset");
-  }
-  alpha_ = other.alpha_;
-  std_floor_ = other.std_floor_;
-  q_hat_ = other.q_hat_;
-  scores_ = other.scores_;
-  weight_values_ = other.weight_values_;
-  calibrated_ = true;
-  OnWeightReferenceChanged();
-  return Status::Ok();
-}
-
 void IntervalBackend::FinishCalibration(std::vector<double> scores,
                                         double alpha, double std_floor) {
   ROICL_CHECK(!scores.empty());
@@ -125,7 +109,9 @@ void IntervalBackend::FinishCalibration(std::vector<double> scores,
   calibrated_ = true;
 }
 
-Status IntervalBackend::SaveCommon(std::ostream& out) const {
+Status IntervalBackend::Save(std::ostream& out) const {
+  if (!calibrated_) return Status::FailedPrecondition("not calibrated");
+  out << MagicOf(name()) << '\n';
   out << std::setprecision(17);
   out << alpha_ << ' ' << std_floor_ << ' ' << q_hat_ << ' '
       << scores_.size() << ' ' << weight_values_.size() << '\n';
@@ -135,7 +121,16 @@ Status IntervalBackend::SaveCommon(std::ostream& out) const {
   return Status::Ok();
 }
 
-Status IntervalBackend::LoadCommon(std::istream& in) {
+Status IntervalBackend::Load(std::istream& in) {
+  const std::string expected = MagicOf(name());
+  std::string magic;
+  if (!(in >> magic)) {
+    return Status::InvalidArgument("truncated interval-backend stream");
+  }
+  if (magic != expected) {
+    return Status::InvalidArgument("bad interval-backend magic '" + magic +
+                                   "' (expected " + expected + ")");
+  }
   double alpha = 0.0;
   double std_floor = 0.0;
   double q_hat = 0.0;
@@ -220,57 +215,18 @@ class SplitBackend : public IntervalBackend {
     (void)x;
     return ConformalIntervals(roi_hat, r_hat, q_hat, std_floor_);
   }
-
-  Status Save(std::ostream& out) const override {
-    if (!calibrated_) return Status::FailedPrecondition("not calibrated");
-    out << "roicl-ivb-split-v1\n";
-    return SaveCommon(out);
-  }
-
-  Status Load(std::istream& in) override {
-    std::string magic;
-    if (!(in >> magic)) {
-      return Status::InvalidArgument("truncated interval-backend stream");
-    }
-    if (magic != "roicl-ivb-split-v1") {
-      return Status::InvalidArgument(
-          "bad interval-backend magic '" + magic +
-          "' (expected roicl-ivb-split-v1)");
-    }
-    return LoadCommon(in);
-  }
 };
 
 /// Weighted conformal under covariate shift (Tibshirani et al. 2019):
-/// the same Eq.(3) scores as split, but the label-free fallback
-/// reweights each calibration score by the likelihood ratio
-/// live/reference of its served-score bin before taking the quantile —
-/// repairing miscoverage from a shifted input distribution without any
-/// window labels, where ACI can only react to observed misses.
-class WeightedBackend : public IntervalBackend {
+/// split's Eq.(3) scores, quantile and intervals (uniform weights at
+/// calibration time), plus a label-free fallback that reweights each
+/// calibration score by the likelihood ratio live/reference of its
+/// served-score bin before taking the quantile — repairing miscoverage
+/// from a shifted input distribution without any window labels, where
+/// ACI can only react to observed misses.
+class WeightedBackend : public SplitBackend {
  public:
   std::string name() const override { return "weighted"; }
-
-  Status Calibrate(const Matrix& x, const std::vector<double>& roi_hat,
-                   const std::vector<double>& r_hat,
-                   const std::vector<double>& roi_star, double alpha,
-                   double std_floor) override {
-    Status valid =
-        ValidateCalibrateArgs(x, roi_hat, r_hat, roi_star, alpha, std_floor);
-    if (!valid.ok()) return valid;
-    // Uniform weights at calibration time: identical scores and quantile
-    // to split. The weighting only enters FallbackQHat.
-    FinishCalibration(ConformalScores(roi_star, roi_hat, r_hat, std_floor),
-                      alpha, std_floor);
-    return Status::Ok();
-  }
-
-  double StreamScore(double roi_hat, double r_hat, double roi_star,
-                     double aux_lo, double aux_hi) const override {
-    (void)aux_lo;
-    (void)aux_hi;
-    return std::fabs(roi_star - roi_hat) / std::max(r_hat, std_floor_);
-  }
 
   std::size_t WeightBins() const override {
     return bins_ready_ ? kWeightBinCount : 0;
@@ -332,32 +288,6 @@ class WeightedBackend : public IntervalBackend {
     // Level unreachable (the analogue of rank > n): the caller applies
     // the max-score convention.
     return std::numeric_limits<double>::infinity();
-  }
-
-  std::vector<metrics::Interval> Intervals(
-      const Matrix& x, const std::vector<double>& roi_hat,
-      const std::vector<double>& r_hat, double q_hat) const override {
-    (void)x;
-    return ConformalIntervals(roi_hat, r_hat, q_hat, std_floor_);
-  }
-
-  Status Save(std::ostream& out) const override {
-    if (!calibrated_) return Status::FailedPrecondition("not calibrated");
-    out << "roicl-ivb-weighted-v1\n";
-    return SaveCommon(out);
-  }
-
-  Status Load(std::istream& in) override {
-    std::string magic;
-    if (!(in >> magic)) {
-      return Status::InvalidArgument("truncated interval-backend stream");
-    }
-    if (magic != "roicl-ivb-weighted-v1") {
-      return Status::InvalidArgument(
-          "bad interval-backend magic '" + magic +
-          "' (expected roicl-ivb-weighted-v1)");
-    }
-    return LoadCommon(in);
   }
 
  protected:
@@ -495,36 +425,19 @@ class CqrBackend : public IntervalBackend {
   }
 
   Status Save(std::ostream& out) const override {
-    if (!calibrated_ || model_ == nullptr) {
-      return Status::FailedPrecondition("not calibrated");
-    }
-    out << "roicl-ivb-cqr-v1\n";
-    Status common = SaveCommon(out);
+    if (model_ == nullptr) return Status::FailedPrecondition("not calibrated");
+    Status common = IntervalBackend::Save(out);
     if (!common.ok()) return common;
     return model_->Save(out);
   }
 
   Status Load(std::istream& in) override {
-    std::string magic;
-    if (!(in >> magic)) {
-      return Status::InvalidArgument("truncated interval-backend stream");
-    }
-    if (magic != "roicl-ivb-cqr-v1") {
-      return Status::InvalidArgument("bad interval-backend magic '" + magic +
-                                     "' (expected roicl-ivb-cqr-v1)");
-    }
-    Status common = LoadCommon(in);
+    Status common = IntervalBackend::Load(in);
     if (!common.ok()) return common;
     StatusOr<CqrModel> model = CqrModel::Load(in, BackendCqrConfig(alpha_));
     if (!model.ok()) return model.status();
     model_ = std::make_unique<CqrModel>(std::move(model).value());
     return Status::Ok();
-  }
-
-  Status InitFromState(const IntervalBackend& other) override {
-    return Status::FailedPrecondition(
-        "cqr interval state cannot be rebuilt from '" + other.name() +
-        "' scores; rebind with a calibration dataset");
   }
 
  protected:

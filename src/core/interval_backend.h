@@ -58,9 +58,10 @@ class IntervalBackend {
 
   /// Stores the per-calibration-row weight variable (the served
   /// calibrated prediction) used by weighted conformal to detect
-  /// covariate shift in score space. The weighted backend rebuilds its
-  /// reference quantile bins from these values; others just persist them
-  /// so a stateless artifact rebind to "weighted" stays possible.
+  /// covariate shift in score space. Only the weighted backend reads it
+  /// (it rebuilds its reference quantile bins from these values); split
+  /// and cqr persist it too, so every backend writes the same artifact
+  /// section.
   void SetWeightReference(std::vector<double> served);
 
   /// Per-row auxiliary channels consumed by StreamScore. Only cqr has
@@ -99,18 +100,13 @@ class IntervalBackend {
       const Matrix& x, const std::vector<double>& roi_hat,
       const std::vector<double>& r_hat, double q_hat) const = 0;
 
-  /// Artifact (de)serialization, versioned per backend
-  /// ("roicl-ivb-<name>-v1"). Load validates magic, ranges and
-  /// truncation and never crashes on corrupt input.
-  virtual Status Save(std::ostream& out) const = 0;
-  virtual Status Load(std::istream& in) = 0;
-
-  /// Rebuilds this backend from another backend's persisted calibration
-  /// state — the stateless artifact rebind (split <-> weighted, which
-  /// share score semantics). Backends whose scores mean something else
-  /// (cqr) refuse with FailedPrecondition; rebinding to those requires a
-  /// calibration dataset.
-  virtual Status InitFromState(const IntervalBackend& other);
+  /// Artifact (de)serialization: the per-backend magic
+  /// "roicl-ivb-<name()>-v1", then the common calibration state (alpha,
+  /// floor, q_hat, scores, weight values). Load validates magic, ranges
+  /// and truncation and never crashes on corrupt input. cqr overrides
+  /// both only to append or read its quantile-head model.
+  virtual Status Save(std::ostream& out) const;
+  virtual Status Load(std::istream& in);
 
   bool calibrated() const { return calibrated_; }
   /// Calibration-time quantile (the value the model's live atomic is
@@ -125,13 +121,14 @@ class IntervalBackend {
 
  protected:
   /// True when this backend's calibration scores are Eq. (3)
-  /// |roi* - roi_hat| / max(r_hat, floor) values (split/weighted), so
-  /// persisted state transfers losslessly between such backends. cqr's
-  /// E-scores are not, and it returns false.
+  /// |roi* - roi_hat| / max(r_hat, floor) values (split/weighted), one per
+  /// calibration row, so Load requires them row-aligned with the weight
+  /// reference. cqr's E-scores cover only its proper-calibration half,
+  /// and it returns false.
   virtual bool SharesSplitScoreSemantics() const { return true; }
 
   /// Hook invoked whenever weight_values_ changes (SetWeightReference,
-  /// LoadCommon, InitFromState); the weighted backend rebuilds bins here.
+  /// Load); the weighted backend rebuilds bins here.
   virtual void OnWeightReferenceChanged() {}
 
   /// Shared Algorithm-3 tail: metrics, starved-window warning and the
@@ -139,11 +136,6 @@ class IntervalBackend {
   /// the backend calibrated.
   void FinishCalibration(std::vector<double> scores, double alpha,
                          double std_floor);
-
-  /// Common-state body shared by every backend's Save/Load (alpha,
-  /// floor, q_hat, scores, weight values).
-  Status SaveCommon(std::ostream& out) const;
-  Status LoadCommon(std::istream& in);
 
   double alpha_ = 0.1;
   double std_floor_ = kDefaultStdFloor;

@@ -109,7 +109,7 @@ void RdrpModel::FitWithCalibration(const RctDataset& train,
 
     // Weight variable for the weighted backend's covariate-shift
     // fallback: the served calibrated prediction on each calibration
-    // row. Stored by every backend so artifacts can rebind later.
+    // row. Every backend persists it, so all artifacts share one format.
     backend_->SetWeightReference(ApplyCalibrationForm(form_, roi_hat, rq));
   }
   calibrated_ = true;
@@ -197,36 +197,6 @@ StatusOr<RdrpModel> RdrpModel::Load(std::istream& in,
   model.form_ = static_cast<CalibrationForm>(form);
   model.calibrated_ = true;
   return model;
-}
-
-McCalibratedModel::McCalibratedModel(std::unique_ptr<DirectRoiModel> base,
-                                     int mc_passes, uint64_t mc_seed)
-    : base_(std::move(base)), mc_passes_(mc_passes), mc_seed_(mc_seed) {
-  ROICL_CHECK(base_ != nullptr);
-  ROICL_CHECK(mc_passes_ >= 2);
-}
-
-void McCalibratedModel::FitWithCalibration(const RctDataset& train,
-                                           const RctDataset& calibration) {
-  base_->Fit(train);
-  std::vector<double> roi_hat = base_->PredictRoi(calibration.x);
-  McDropoutStats mc =
-      base_->PredictMcRoi(calibration.x, mc_passes_, mc_seed_);
-  // q_hat = 1: the std enters the forms unscaled, isolating the MC
-  // contribution from the conformal contribution.
-  form_ = SelectCalibrationForm(roi_hat, mc.stddev, calibration);
-  calibrated_ = true;
-}
-
-std::vector<double> McCalibratedModel::PredictRoi(const Matrix& x) const {
-  ROICL_CHECK_MSG(calibrated_, "PredictRoi() before FitWithCalibration()");
-  std::vector<double> roi_hat = base_->PredictRoi(x);
-  McDropoutStats mc = base_->PredictMcRoi(x, mc_passes_, mc_seed_);
-  return ApplyCalibrationForm(form_, roi_hat, mc.stddev);
-}
-
-std::string McCalibratedModel::name() const {
-  return base_->name() + " w/ MC";
 }
 
 }  // namespace roicl::core

@@ -162,35 +162,6 @@ class RdrpModel : public uplift::RoiModel {
   std::unique_ptr<IntervalBackend> backend_;
 };
 
-/// Ablation wrapper "<base> w/ MC" (Table II): combines a direct model's
-/// point estimate with its MC-dropout std using the same heuristic forms
-/// as rDRP but with q_hat fixed to 1 (no conformal scaling). The form is
-/// selected on the calibration set. Applying conformal prediction on top
-/// of this is exactly rDRP — so this wrapper isolates the MC contribution.
-class McCalibratedModel : public uplift::RoiModel {
- public:
-  McCalibratedModel(std::unique_ptr<DirectRoiModel> base, int mc_passes = 30,
-                    uint64_t mc_seed = 99);
-
-  void Fit(const RctDataset& train) override {
-    FitWithCalibration(train, train);
-  }
-  void FitWithCalibration(const RctDataset& train,
-                          const RctDataset& calibration) override;
-  std::vector<double> PredictRoi(const Matrix& x) const override;
-  std::string name() const override;
-
-  CalibrationForm selected_form() const { return form_; }
-  const DirectRoiModel& base() const { return *base_; }
-
- private:
-  std::unique_ptr<DirectRoiModel> base_;
-  int mc_passes_;
-  uint64_t mc_seed_;
-  bool calibrated_ = false;
-  CalibrationForm form_ = CalibrationForm::kNone;
-};
-
 }  // namespace roicl::core
 
 #endif  // ROICL_CORE_RDRP_H_

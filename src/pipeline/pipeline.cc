@@ -169,7 +169,7 @@ const core::IntervalBackend* Pipeline::interval_backend() const {
 }
 
 Status Pipeline::RebindIntervalBackend(const std::string& name,
-                                       const RctDataset* calibration) {
+                                       const RctDataset& calibration) {
   if (!has_conformal_quantile()) {
     return Status::FailedPrecondition(
         "scorer '" + scorer_name_ + "' has no interval state to rebind");
@@ -184,33 +184,24 @@ Status Pipeline::RebindIntervalBackend(const std::string& name,
       core::MakeIntervalBackend(name);
   if (!made.ok()) return made.status();
   std::unique_ptr<core::IntervalBackend> target = std::move(made).value();
-  if (calibration != nullptr) {
-    // Full recalibration: the same ingredients FitWithCalibration fed the
-    // original backend (point estimates, MC stds, the Algorithm-2
-    // convergence point), so rebinding on the training-time calibration
-    // set reproduces the would-have-been-trained backend exactly. The
-    // same prediction's calibrated scores are the weight reference.
-    StatusOr<core::RdrpPrediction> prediction = PredictRdrp(calibration->x);
-    if (!prediction.ok()) return prediction.status();
-    double roi_star =
-        core::BinarySearchRoiStar(*calibration, core::RdrpConfig().epsilon);
-    std::vector<double> roi_star_vec(prediction.value().roi_hat.size(),
-                                     roi_star);
-    if (Status status = target->Calibrate(
-            calibration->x, prediction.value().roi_hat,
-            prediction.value().r_hat, roi_star_vec, hp_.alpha,
-            core::kDefaultStdFloor);
-        !status.ok()) {
-      return status;
-    }
-    target->SetWeightReference(std::move(prediction).value().roi);
-  } else {
-    // Stateless conversion from the persisted calibration state; only
-    // legal between backends sharing Eq.(3) score semantics.
-    if (Status status = target->InitFromState(*current); !status.ok()) {
-      return status;
-    }
+  // The same ingredients FitWithCalibration fed the original backend
+  // (point estimates, MC stds, the Algorithm-2 convergence point), so
+  // rebinding on the training-time calibration set reproduces the
+  // would-have-been-trained backend exactly. The same prediction's
+  // calibrated scores are the weight reference.
+  StatusOr<core::RdrpPrediction> prediction = PredictRdrp(calibration.x);
+  if (!prediction.ok()) return prediction.status();
+  double roi_star =
+      core::BinarySearchRoiStar(calibration, core::RdrpConfig().epsilon);
+  std::vector<double> roi_star_vec(prediction.value().roi_hat.size(),
+                                   roi_star);
+  if (Status status = target->Calibrate(
+          calibration.x, prediction.value().roi_hat, prediction.value().r_hat,
+          roi_star_vec, hp_.alpha, core::kDefaultStdFloor);
+      !status.ok()) {
+    return status;
   }
+  target->SetWeightReference(std::move(prediction).value().roi);
   double q_hat = target->q_hat();
   if (Status status =
           scorer_->rdrp_model()->AdoptIntervalBackend(std::move(target));

@@ -92,15 +92,12 @@ class Pipeline {
   /// (nullptr for point scorers without interval state).
   const core::IntervalBackend* interval_backend() const;
 
-  /// Replaces the interval backend with a freshly built `name` backend
-  /// ("split" / "weighted" / "cqr") and seeds the live serving quantile
-  /// with its calibration q_hat. Without a calibration set, only
-  /// backends sharing split score semantics can be rebuilt from the
-  /// persisted state (split <-> weighted); rebinding to cqr needs
-  /// `calibration` to refit its quantile heads. No-op when the backend
+  /// Replaces the interval backend with a `name` backend ("split" /
+  /// "weighted" / "cqr") calibrated on `calibration`, and seeds the live
+  /// serving quantile with its calibration q_hat. No-op when the backend
   /// already has that name.
   Status RebindIntervalBackend(const std::string& name,
-                               const RctDataset* calibration);
+                               const RctDataset& calibration);
 
   /// Serializes the manifest + model blob ("roicl-pipeline-v2"; the
   /// manifest carries a versioned interval-backend section between the

@@ -93,27 +93,25 @@ if $CLI monitor-replay --pipeline $WORK/rdrp.pipe --calib $WORK/calib.csv \
   echo "expected failure for bad --batch-rows"; exit 1
 fi
 
-# --- Interval backends: rebind at load, one replay row per backend. ----
-# split -> weighted is a stateless rebind (shared Eq.(3) calibration
-# state): serving the same artifact through the weighted backend is
-# bitwise identical.
-$CLI serve --pipeline $WORK/rdrp.pipe --data $WORK/test.csv \
-    --out $WORK/rdrp_served_w.csv --request-rows 1000000 \
-    --interval-backend weighted
-cmp $WORK/rdrp_served.csv $WORK/rdrp_served_w.csv \
-    || { echo "weighted rebind changed served scores"; exit 1; }
-# cqr cannot be rebuilt from split scores; without a calibration dataset
-# the rebind must refuse, not serve garbage intervals.
-if $CLI serve --pipeline $WORK/rdrp.pipe --data $WORK/test.csv \
-    --out $WORK/x.csv --interval-backend cqr 2>/dev/null; then
-  echo "expected failure for stateless cqr rebind"; exit 1
-fi
+# --- Interval backends: chosen at training, one replay row each. -------
 # Unknown backend names die in flag validation, listing the registry.
-if $CLI serve --pipeline $WORK/rdrp.pipe --data $WORK/test.csv \
-    --out $WORK/x.csv --interval-backend jackknife 2>$WORK/err.txt; then
-  echo "expected failure for unknown interval backend"; exit 1
-fi
-grep -q "split" $WORK/err.txt
+rc=0
+$CLI train --method rdrp --train $WORK/train.csv --calib $WORK/calib.csv \
+    --save-pipeline $WORK/x.pipe --interval-backend jackknife \
+    2>$WORK/err.txt || rc=$?
+[ "$rc" -eq 2 ] || { echo "expected exit 2 for unknown backend, got $rc"; exit 1; }
+grep -qF "split, weighted, cqr" $WORK/err.txt
+# Artifact consumers serve the backend the artifact carries; the flag is
+# not theirs, so it is rejected like any other unknown flag.
+for cmd in predict score serve evaluate allocate; do
+  args=(--pipeline $WORK/rdrp.pipe --data $WORK/test.csv)
+  case $cmd in predict|score|serve) args+=(--out $WORK/x.csv) ;; esac
+  rc=0
+  $CLI $cmd "${args[@]}" --interval-backend split 2>$WORK/err.txt || rc=$?
+  [ "$rc" -eq 2 ] || { echo "expected exit 2 from $cmd, got $rc"; exit 1; }
+  grep -qF "unknown flag --interval-backend for subcommand $cmd" \
+      $WORK/err.txt || { echo "$cmd did not name the flag"; exit 1; }
+done
 # Training bakes the chosen backend into the artifact: a cqr pipeline
 # carries its quantile-head model through score.
 $CLI train --method rdrp --train $WORK/train.csv --calib $WORK/calib.csv \

@@ -178,8 +178,8 @@ check_rejects "unknown flag --mc-passes" \
       --out $WORK/x.csv --mc-passes 7
 check_rejects "unknown flag --forest-trees" $CLI campaign --forest-trees 5
 check_rejects "--interval-backend all is only valid for monitor-replay" \
-  $CLI score --pipeline $WORK/rdrp.pipeline --data $WORK/test.csv \
-      --out $WORK/x.csv --interval-backend all
+  $CLI train --method rdrp --train $WORK/train.csv \
+      --save-pipeline $WORK/x --interval-backend all
 # --threads 0 is the documented "shared pool" setting, not an error.
 $CLI predict --pipeline $WORK/rdrp.pipeline \
     --data $WORK/test.csv --threads 0 --out $WORK/threads0.csv

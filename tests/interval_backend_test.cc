@@ -250,34 +250,6 @@ TEST(IntervalBackend, SplitHasNoWeightedFallback) {
   EXPECT_FALSE(split->FallbackQHat(0.2, {}).ok());
 }
 
-TEST(IntervalBackend, InitFromStateTransfersSplitSemantics) {
-  // split <-> weighted share Eq.(3) score semantics, so the stateless
-  // artifact rebind transfers the full calibration bitwise.
-  std::unique_ptr<IntervalBackend> split = Calibrated("split");
-  StatusOr<std::unique_ptr<IntervalBackend>> weighted =
-      MakeIntervalBackend("weighted");
-  ASSERT_TRUE(weighted.ok());
-  ASSERT_TRUE(weighted.value()->InitFromState(*split).ok());
-  EXPECT_TRUE(weighted.value()->calibrated());
-  EXPECT_EQ(weighted.value()->q_hat(), split->q_hat());
-  EXPECT_EQ(weighted.value()->calibration_scores(),
-            split->calibration_scores());
-  // The weight reference travels with the state, so the rebound backend
-  // has working bins immediately.
-  EXPECT_GT(weighted.value()->WeightBins(), 0u);
-  // cqr scores are conformity E-values, not Eq.(3) scores: both
-  // directions of a stateless rebind must refuse.
-  std::unique_ptr<IntervalBackend> cqr = Calibrated("cqr");
-  StatusOr<std::unique_ptr<IntervalBackend>> into_cqr =
-      MakeIntervalBackend("cqr");
-  ASSERT_TRUE(into_cqr.ok());
-  EXPECT_FALSE(into_cqr.value()->InitFromState(*split).ok());
-  StatusOr<std::unique_ptr<IntervalBackend>> from_cqr =
-      MakeIntervalBackend("split");
-  ASSERT_TRUE(from_cqr.ok());
-  EXPECT_FALSE(from_cqr.value()->InitFromState(*cqr).ok());
-}
-
 TEST(IntervalBackend, CalibrateValidatesItsArguments) {
   CalibrationFixture fixture = MakeFixture();
   for (const char* name : kIntervalBackendNames) {

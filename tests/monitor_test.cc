@@ -792,7 +792,7 @@ TEST(ServingMonitor, RecalibratedQuantileGolden) {
     const char* backend = core::kIntervalBackendNames[b];
     SCOPED_TRACE(backend);
     pipeline::Pipeline pipeline = TrainSmallRdrp();
-    ASSERT_TRUE(pipeline.RebindIntervalBackend(backend, &calib).ok());
+    ASSERT_TRUE(pipeline.RebindIntervalBackend(backend, calib).ok());
     MonitorOptions options;
     options.recalibrator.max_window = 200;
     options.recalibrator.min_labeled = 100;
@@ -878,7 +878,7 @@ TEST_P(BackendReplay, RebindThenShiftReplayRecalibrates) {
   pipeline::Pipeline pipeline = TrainSmallRdrp();
   RctDataset calib = Gen(300, 91);
   RctDataset stream = Gen(900, 92);
-  ASSERT_TRUE(pipeline.RebindIntervalBackend(GetParam(), &calib).ok());
+  ASSERT_TRUE(pipeline.RebindIntervalBackend(GetParam(), calib).ok());
   ASSERT_NE(pipeline.interval_backend(), nullptr);
   EXPECT_EQ(pipeline.interval_backend()->name(), GetParam());
 

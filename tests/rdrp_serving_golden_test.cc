@@ -133,7 +133,7 @@ constexpr uint64_t kCqrRebindQuantileBits = 0x3fe7eee556295964ULL;
 TEST(RdrpServingGolden, CqrRebindFromSplitPinned) {
   const Data& data = SharedData();
   pipeline::Pipeline pipeline = TrainRdrp("split");
-  ASSERT_TRUE(pipeline.RebindIntervalBackend("cqr", &data.calibration).ok());
+  ASSERT_TRUE(pipeline.RebindIntervalBackend("cqr", data.calibration).ok());
   EXPECT_EQ(IntervalsDigest(pipeline.ScoreIntervals(data.test.x).value()),
             kCqrRebindIntervals);
   EXPECT_EQ(std::bit_cast<uint64_t>(pipeline.conformal_quantile().value()),

@@ -1,12 +1,10 @@
 #include "core/rdrp.h"
 
 #include <cmath>
-#include <memory>
 
 #include <gtest/gtest.h>
 
 #include "common/stats.h"
-#include "core/dr_model.h"
 #include "core/roi_star.h"
 #include "metrics/cost_curve.h"
 #include "synth/synthetic_generator.h"
@@ -134,28 +132,6 @@ TEST_F(RdrpTest, TinyCalibrationSetStillFinite) {
   for (double s : rdrp.PredictRoi(test_->x)) {
     EXPECT_TRUE(std::isfinite(s));
   }
-}
-
-TEST_F(RdrpTest, McCalibratedDrpSelectsAForm) {
-  DrpConfig drp_config;
-  drp_config.train.epochs = 12;
-  McCalibratedModel model(std::make_unique<DrpModel>(drp_config),
-                          /*mc_passes=*/20);
-  model.FitWithCalibration(*train_, *calib_);
-  EXPECT_EQ(model.name(), "DRP w/ MC");
-  std::vector<double> scores = model.PredictRoi(test_->x);
-  for (double s : scores) EXPECT_TRUE(std::isfinite(s));
-}
-
-TEST_F(RdrpTest, McCalibratedDrWorksToo) {
-  DirectRankConfig dr_config;
-  dr_config.train.epochs = 12;
-  McCalibratedModel model(std::make_unique<DirectRankModel>(dr_config),
-                          /*mc_passes=*/20);
-  model.FitWithCalibration(*train_, *calib_);
-  EXPECT_EQ(model.name(), "DR w/ MC");
-  EXPECT_EQ(static_cast<int>(model.PredictRoi(test_->x).size()),
-            test_->n());
 }
 
 }  // namespace

@@ -45,7 +45,8 @@
 //
 // Methods are named with --method at training time, case-insensitively;
 // every later subcommand reads the method, its hyperparameters and its
-// interval backend from the --pipeline artifact.
+// interval backend from the --pipeline artifact (monitor-replay alone can
+// rebind the backend, calibrating it on its --calib set).
 //
 // Observability flags (all subcommands):
 //   --log-level LEVEL   debug|info|warn|error|off (default info; the
@@ -248,22 +249,16 @@ void RejectUnknownFlags(const std::string& command, const Flags& flags) {
         "patience", "hidden", "dropout", "restarts", "cate-epochs",
         "forest-trees", "forest-depth", "causal-forest-trees", "mc-passes",
         "alpha", "interval-backend", "seed", "batch-size", "threads"}},
-      {"predict",
-       {"pipeline", "data", "out", "interval-backend", "batch-size",
-        "threads"}},
-      {"score",
-       {"pipeline", "data", "out", "interval-backend", "batch-size",
-        "threads"}},
+      {"predict", {"pipeline", "data", "out", "batch-size", "threads"}},
+      {"score", {"pipeline", "data", "out", "batch-size", "threads"}},
       {"serve",
        {"pipeline", "data", "out", "max-batch", "max-queue",
-        "deadline-micros", "request-rows", "interval-backend", "batch-size",
-        "threads"}},
-      {"evaluate",
-       {"pipeline", "data", "interval-backend", "batch-size", "threads"}},
+        "deadline-micros", "request-rows", "batch-size", "threads"}},
+      {"evaluate", {"pipeline", "data", "batch-size", "threads"}},
       {"allocate",
        {"pipeline", "data", "budget-frac", "streaming", "mode", "shards",
         "memory-cap-mb", "chunk-rows", "synthetic-rows", "seed",
-        "interval-backend", "batch-size", "threads"}},
+        "batch-size", "threads"}},
       {"campaign",
        {"dataset", "arms", "arm-budgets", "budget-frac", "mode", "scorer",
         "n-train", "n-calib", "n-test", "shards", "memory-cap-mb", "epochs",
@@ -622,21 +617,6 @@ pipeline::Pipeline LoadPipelineOrDie(const std::string& path) {
   return std::move(loaded).value();
 }
 
-/// Applies --interval-backend to a loaded pipeline (score/serve paths).
-/// Without a calibration set only state-sharing rebinds are possible
-/// (split <-> weighted); a cqr rebind reports the backend's error.
-void MaybeRebindBackendOrDie(const Flags& flags,
-                             pipeline::Pipeline* pipeline) {
-  if (!flags.Has("interval-backend")) return;
-  std::string backend = flags.Get("interval-backend");
-  if (Status status = pipeline->RebindIntervalBackend(backend, nullptr);
-      !status.ok()) {
-    std::fprintf(stderr, "cannot rebind interval backend to '%s': %s\n",
-                 backend.c_str(), status.ToString().c_str());
-    std::exit(1);
-  }
-}
-
 int CmdGenerate(const Flags& flags) {
   synth::SyntheticConfig config =
       DatasetConfigByName(flags.Get("dataset", "criteo"));
@@ -720,7 +700,6 @@ T ValueOrDie(StatusOr<T> result) {
 /// prediction: its scores and its intervals share one MC sweep.
 ScoredBatch ScoreWithPipeline(const Flags& flags, const Matrix& x) {
   pipeline::Pipeline loaded = LoadPipelineOrDie(flags.Require("pipeline"));
-  MaybeRebindBackendOrDie(flags, &loaded);
   loaded.set_batch_options(BatchOptionsFromFlags(flags));
   ScoredBatch out;
   if (!loaded.has_conformal_quantile()) {
@@ -765,7 +744,6 @@ int CmdPredict(const Flags& flags) {
 
 int CmdServe(const Flags& flags) {
   pipeline::Pipeline loaded = LoadPipelineOrDie(flags.Require("pipeline"));
-  MaybeRebindBackendOrDie(flags, &loaded);
   RctDataset data = LoadCsvOrDie(flags.Require("data"));
   std::string out_path = flags.Require("out");
 
@@ -1257,7 +1235,7 @@ int CmdMonitorReplay(const Flags& flags) {
   for (const std::string& backend : backend_names) {
     pipeline::Pipeline loaded = LoadPipelineOrDie(pipeline_path);
     if (!backend.empty()) {
-      if (Status status = loaded.RebindIntervalBackend(backend, &calib);
+      if (Status status = loaded.RebindIntervalBackend(backend, calib);
           !status.ok()) {
         std::fprintf(stderr,
                      "cannot rebind interval backend to '%s': %s\n",
