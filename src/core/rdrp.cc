@@ -131,12 +131,17 @@ RdrpPrediction RdrpModel::Predict(const Matrix& x) const {
       drp_.PredictMcRoi(x, config_.mc_passes, config_.mc_seed).stddev;
   for (double& s : prediction.r_hat) s = std::max(s, config_.std_floor);
   prediction.q_hat = q_hat();
-  std::vector<double> rq(prediction.r_hat.size());
-  for (size_t i = 0; i < rq.size(); ++i) {
-    rq[i] = prediction.r_hat[i] * prediction.q_hat;
-  }
-  prediction.roi = ApplyCalibrationForm(form_, prediction.roi_hat, rq);
+  prediction.roi =
+      CalibratedRoi(prediction.roi_hat, prediction.r_hat, prediction.q_hat);
   return prediction;
+}
+
+std::vector<double> RdrpModel::CalibratedRoi(
+    const std::vector<double>& roi_hat, const std::vector<double>& r_hat,
+    double q_hat) const {
+  std::vector<double> rq(r_hat.size());
+  for (size_t i = 0; i < rq.size(); ++i) rq[i] = r_hat[i] * q_hat;
+  return ApplyCalibrationForm(form_, roi_hat, rq);
 }
 
 std::vector<metrics::Interval> RdrpModel::Intervals(

@@ -112,6 +112,13 @@ class RdrpModel : public uplift::RoiModel {
     return Intervals(x, Predict(x));
   }
 
+  /// The calibrated scores Predict serves for the ingredients `roi_hat`
+  /// and floored `r_hat` when the live quantile is `q_hat`: the selected
+  /// form over roi_hat and r_hat * q_hat.
+  std::vector<double> CalibratedRoi(const std::vector<double>& roi_hat,
+                                    const std::vector<double>& r_hat,
+                                    double q_hat) const;
+
   const DrpModel& drp() const { return drp_; }
 
   /// Feature dimension of the underlying DRP net (-1 before Fit/Load).

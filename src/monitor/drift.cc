@@ -147,6 +147,13 @@ void DriftDetector::Commit(int channel, const WindowCounts& counts) {
   channels_[AsSize(channel)].window.Merge(counts);
 }
 
+void DriftDetector::ReplaceReference(int channel,
+                                     ReferenceDistribution reference) {
+  Channel& target = channels_[AsSize(channel)];
+  target.window = WindowCounts(reference.num_bins());
+  target.reference = std::move(reference);
+}
+
 uint64_t DriftDetector::min_window_n() const {
   uint64_t min_n = 0;
   bool first = true;

@@ -120,6 +120,9 @@ class DriftDetector {
   void Accumulate(int channel, double value, WindowCounts* counts) const;
   /// Merges partial counts into the channel's live window.
   void Commit(int channel, const WindowCounts& counts);
+  /// Replaces a channel's reference and clears its live window, whose
+  /// counts were binned against the old one.
+  void ReplaceReference(int channel, ReferenceDistribution reference);
 
   /// Smallest live-window count across channels (windows can differ: the
   /// conformal-score channel is fed from the sparser feedback stream).

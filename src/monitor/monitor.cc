@@ -148,9 +148,11 @@ StatusOr<std::unique_ptr<ServingMonitor>> ServingMonitor::FromCalibration(
   CoverageTracker tracker(options.coverage);
 
   const int num_channels = detector.num_channels();
+  core::RdrpPrediction& inputs = prediction.value();
   std::unique_ptr<ServingMonitor> monitor(new ServingMonitor(
       pipeline, std::move(options), std::move(detector),
       std::move(recalibrator), std::move(tracker), roi_star,
+      std::move(inputs.roi_hat), std::move(inputs.r_hat),
       std::move(feature_channels), score_channel, conformal_channel));
   obs::Info("serving monitor up",
             {{"channels", num_channels},
@@ -166,12 +168,16 @@ ServingMonitor::ServingMonitor(const pipeline::Pipeline* pipeline,
                                RollingRecalibrator recalibrator,
                                CoverageTracker tracker,
                                double roi_star_calibration,
+                               std::vector<double> calibration_roi_hat,
+                               std::vector<double> calibration_r_hat,
                                std::vector<int> feature_channels,
                                int score_channel, int conformal_channel)
     : pipeline_(pipeline),
       backend_(pipeline->interval_backend()),
       options_(std::move(options)),
       roi_star_calibration_(roi_star_calibration),
+      calibration_roi_hat_(std::move(calibration_roi_hat)),
+      calibration_r_hat_(std::move(calibration_r_hat)),
       feature_channels_(std::move(feature_channels)),
       score_channel_(score_channel),
       conformal_channel_(conformal_channel),
@@ -391,6 +397,17 @@ StatusOr<RecalibrationResult> ServingMonitor::MaybeRecalibrate(bool force) {
   if (Status status = swap_(result.value().q_hat_after); !status.ok()) {
     return status;
   }
+  // The served ROI carries r_hat * q_hat (forms 5a-5c), so the swap alone
+  // moves the served-score distribution. Re-take that channel's reference
+  // as what the model now serves on the calibration rows, so the detector
+  // keeps reading only traffic drift.
+  detector_.ReplaceReference(
+      score_channel_,
+      ReferenceDistribution::FromSamples(
+          pipeline_->scorer().rdrp_model()->CalibratedRoi(
+              calibration_roi_hat_, calibration_r_hat_,
+              result.value().q_hat_after),
+          options_.drift_bins));
 
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
   metrics.GetCounter("monitor.recalibrations")->Increment();

@@ -142,6 +142,8 @@ class ServingMonitor {
   ServingMonitor(const pipeline::Pipeline* pipeline, MonitorOptions options,
                  DriftDetector detector, RollingRecalibrator recalibrator,
                  CoverageTracker tracker, double roi_star_calibration,
+                 std::vector<double> calibration_roi_hat,
+                 std::vector<double> calibration_r_hat,
                  std::vector<int> feature_channels, int score_channel,
                  int conformal_channel);
 
@@ -159,6 +161,11 @@ class ServingMonitor {
   /// Frozen calibration-time convergence point: the coverage fallback
   /// target while the feedback window cannot support Algorithm 2.
   double roi_star_calibration_;
+  /// The calibration rows' point estimates and floored MC stds: after
+  /// each swap the served-score reference is re-taken from them at the
+  /// new quantile, because the served ROI carries r_hat * q_hat.
+  std::vector<double> calibration_roi_hat_;
+  std::vector<double> calibration_r_hat_;
   std::vector<int> feature_channels_;  ///< column -> channel index
   int score_channel_ = -1;
   int conformal_channel_ = -1;

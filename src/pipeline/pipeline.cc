@@ -187,22 +187,25 @@ Status Pipeline::RebindIntervalBackend(const std::string& name,
   // The same ingredients FitWithCalibration fed the original backend
   // (point estimates, MC stds, the Algorithm-2 convergence point), so
   // rebinding on the training-time calibration set reproduces the
-  // would-have-been-trained backend exactly. The same prediction's
-  // calibrated scores are the weight reference.
+  // would-have-been-trained backend exactly.
   StatusOr<core::RdrpPrediction> prediction = PredictRdrp(calibration.x);
   if (!prediction.ok()) return prediction.status();
+  const core::RdrpPrediction& inputs = prediction.value();
   double roi_star =
       core::BinarySearchRoiStar(calibration, core::RdrpConfig().epsilon);
-  std::vector<double> roi_star_vec(prediction.value().roi_hat.size(),
-                                   roi_star);
-  if (Status status = target->Calibrate(
-          calibration.x, prediction.value().roi_hat, prediction.value().r_hat,
-          roi_star_vec, hp_.alpha, core::kDefaultStdFloor);
+  std::vector<double> roi_star_vec(inputs.roi_hat.size(), roi_star);
+  if (Status status =
+          target->Calibrate(calibration.x, inputs.roi_hat, inputs.r_hat,
+                            roi_star_vec, hp_.alpha, core::kDefaultStdFloor);
       !status.ok()) {
     return status;
   }
-  target->SetWeightReference(std::move(prediction).value().roi);
   double q_hat = target->q_hat();
+  // The weight reference is what the rebound pipeline serves on the
+  // calibration rows: the calibrated scores at the new backend's
+  // quantile, not at the replaced backend's.
+  target->SetWeightReference(scorer_->rdrp_model()->CalibratedRoi(
+      inputs.roi_hat, inputs.r_hat, q_hat));
   if (Status status =
           scorer_->rdrp_model()->AdoptIntervalBackend(std::move(target));
       !status.ok()) {

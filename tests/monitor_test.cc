@@ -22,8 +22,10 @@
 #include "common/macros.h"
 #include "common/math_util.h"
 #include "common/stats.h"
+#include "core/calibration.h"
 #include "core/conformal.h"
 #include "core/interval_backend.h"
+#include "core/rdrp.h"
 #include "core/roi_star.h"
 #include "monitor/coverage_tracker.h"
 #include "monitor/drift.h"
@@ -824,6 +826,46 @@ TEST(ServingMonitor, RecalibratedQuantileGolden) {
     }
   }
 }
+
+// The served ROI carries r_hat * q_hat under forms 5a-5c, so a swap alone
+// moves the served-score distribution. After a swap the served_score
+// reference is what the model now serves on the calibration rows: those
+// rows, observed as one window, read as no drift at all.
+TEST(ServingMonitor, ServedScoreReferenceFollowsTheSwappedQuantile) {
+  pipeline::Pipeline pipeline = TrainSmallRdrp(/*seed=*/24);
+  ASSERT_NE(pipeline.scorer().rdrp_model()->selected_form(),
+            core::CalibrationForm::kNone);
+  RctDataset calib = Gen(300, 91);
+  MonitorOptions options;
+  options.window_rows = static_cast<uint64_t>(calib.n());
+  options.recalibrator.min_labeled = 100;
+  StatusOr<std::unique_ptr<ServingMonitor>> monitor_or =
+      ServingMonitor::FromCalibration(&pipeline, calib, options);
+  ASSERT_TRUE(monitor_or.ok()) << monitor_or.status().ToString();
+  ServingMonitor& monitor = *monitor_or.value();
+  monitor.BindQuantileSwap([&pipeline](double q_hat) {
+    return pipeline.SetConformalQuantile(q_hat);
+  });
+  const double q_before = pipeline.conformal_quantile().value();
+  ASSERT_TRUE(monitor.AddOutcomes(Gen(200, 101)).ok());
+  StatusOr<RecalibrationResult> result =
+      monitor.MaybeRecalibrate(/*force=*/true);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  // Far enough (5.12 -> 10.0) that a reference frozen at q_before flags
+  // the swap.
+  ASSERT_GT(result.value().q_hat_after, 1.5 * q_before);
+
+  monitor.ObserveScored(calib.x, pipeline.Score(calib.x).value());
+  std::vector<DriftReport> reports = monitor.last_reports();
+  auto served = std::find_if(
+      reports.begin(), reports.end(),
+      [](const DriftReport& r) { return r.channel == "served_score"; });
+  ASSERT_NE(served, reports.end());
+  EXPECT_EQ(served->window_n, static_cast<uint64_t>(calib.n()));
+  EXPECT_FALSE(served->triggered);
+  EXPECT_EQ(served->psi, 0.0);
+}
+
 
 // ---------------------------------------------------------------------
 // Replay harness

@@ -13,7 +13,9 @@
 #include <utility>
 #include <vector>
 
+#include "core/calibration.h"
 #include "core/interval_backend.h"
+#include "core/rdrp.h"
 #include "exp/methods.h"
 #include "pipeline/hyperparams.h"
 #include "pipeline/pipeline.h"
@@ -388,6 +390,25 @@ TEST(PipelineRoundTrip, EveryIntervalBackendSurvivesReloadBitwise) {
       ASSERT_EQ(got[i].hi, expected[i].hi) << "row " << i;
     }
   }
+}
+
+// A rebind installs a new quantile, and the served scores move with it
+// (form 5a here). The weighted backend's weight reference must be those
+// served scores, not the ones at the replaced backend's quantile.
+TEST(PipelineRebind, WeightReferenceIsTheServedScoreAtTheNewQuantile) {
+  RctDataset train = Gen(300, 131);
+  RctDataset calib = Gen(150, 132);
+  pipeline::Hyperparams hp = SmallHp();
+  hp.interval_backend = "cqr";
+  StatusOr<pipeline::Pipeline> trained =
+      pipeline::Pipeline::Train("rDRP", hp, train, &calib, {});
+  ASSERT_TRUE(trained.ok()) << trained.status().ToString();
+  pipeline::Pipeline pipeline = std::move(trained).value();
+  ASSERT_NE(pipeline.scorer().rdrp_model()->selected_form(),
+            core::CalibrationForm::kNone);
+  ASSERT_TRUE(pipeline.RebindIntervalBackend("weighted", calib).ok());
+  EXPECT_EQ(pipeline.interval_backend()->weight_reference(),
+            pipeline.Score(calib.x).value());
 }
 
 TEST(PipelineGuards, TrainRejectsUnknownScorer) {
