@@ -158,9 +158,24 @@ TEST(IntervalBackend, LoadRejectsWrongMagicAndTruncation) {
     std::istringstream wrong("roicl-ivb-nonsense-v1\n");
     Status status = backend.value()->Load(wrong);
     EXPECT_FALSE(status.ok()) << name;
-    EXPECT_NE(status.message().find("magic"), std::string::npos) << name;
+    EXPECT_NE(status.message().find(std::string("expected roicl-ivb-") +
+                                    name + "-v1"),
+              std::string::npos)
+        << name;
     std::istringstream empty("");
     EXPECT_FALSE(backend.value()->Load(empty).ok()) << name;
+  }
+  // Eq.(3)-score backends keep one weight value per calibration score.
+  for (const char* name : {"split", "weighted"}) {
+    StatusOr<std::unique_ptr<IntervalBackend>> backend =
+        MakeIntervalBackend(name);
+    ASSERT_TRUE(backend.ok());
+    std::istringstream misaligned(std::string("roicl-ivb-") + name +
+                                  "-v1\n0.2 0.001 1 2 3\n1\n2\n1\n2\n3\n");
+    Status status = backend.value()->Load(misaligned);
+    EXPECT_FALSE(status.ok()) << name;
+    EXPECT_NE(status.message().find("row counts"), std::string::npos)
+        << name;
   }
   // A valid header with the body chopped off must fail cleanly, not crash.
   std::unique_ptr<IntervalBackend> calibrated = Calibrated("split");
