@@ -866,7 +866,6 @@ TEST(ServingMonitor, ServedScoreReferenceFollowsTheSwappedQuantile) {
   EXPECT_EQ(served->psi, 0.0);
 }
 
-
 // ---------------------------------------------------------------------
 // Replay harness
 
