@@ -99,7 +99,8 @@ rc=0
 $CLI train --method rdrp --train $WORK/train.csv --calib $WORK/calib.csv \
     --save-pipeline $WORK/x.pipe --interval-backend jackknife \
     2>$WORK/err.txt || rc=$?
-[ "$rc" -eq 2 ] || { echo "expected exit 2 for unknown backend, got $rc"; exit 1; }
+[ "$rc" -eq 2 ] \
+  || { echo "expected exit 2 for unknown backend, got $rc"; exit 1; }
 grep -qF "split, weighted, cqr" $WORK/err.txt
 # Artifact consumers serve the backend the artifact carries; the flag is
 # not theirs, so it is rejected like any other unknown flag.
